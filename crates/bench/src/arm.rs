@@ -41,14 +41,10 @@ pub struct TrialSpec<'a> {
     pub scheduler: Option<SchedulerSpec>,
     /// Byzantine adversary (`None` = all participants honest).
     pub adversary: Option<AdversarySpec>,
-    /// Worker threads *inside* each engine run (batched engine only).
-    /// Results are byte-identical at any value; this is pure scheduling.
-    pub threads: usize,
 }
 
 impl<'a> TrialSpec<'a> {
-    /// A spec with default tuning, no census, no faults, single-threaded
-    /// engine runs.
+    /// A spec with default tuning, no census, no faults.
     pub fn new(counts: &'a Counts, budget: f64) -> Self {
         Self {
             counts,
@@ -58,7 +54,6 @@ impl<'a> TrialSpec<'a> {
             faults: Vec::new(),
             scheduler: None,
             adversary: None,
-            threads: 1,
         }
     }
 }
@@ -165,7 +160,6 @@ where
         let (result, census) = match engine {
             Engine::Batch => {
                 let mut sim = BatchSimulation::new(table, init, seed);
-                sim.set_threads(spec.threads);
                 if let Some(sched) = spec.scheduler {
                     sim.set_scheduler(sched.build());
                 }
@@ -176,7 +170,6 @@ where
             }
             Engine::Pairwise => {
                 let mut sim = PairwiseBatchSimulation::new(table, init, seed);
-                sim.set_threads(spec.threads);
                 if let Some(sched) = spec.scheduler {
                     sim.set_scheduler(sched.build());
                 }

@@ -98,41 +98,6 @@ fn main() {
         .collect();
     rows.push(("batch_multinomial", multinomial));
 
-    // Thread sweep on the multinomial engine at n = 1e8: 1/2/4/max
-    // (deduplicated), same seed — the engine is thread-count-invariant, so
-    // every sweep point simulates the byte-identical trajectory.
-    let max_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut sweep_threads: Vec<usize> = [1usize, 2, 4, max_threads]
-        .into_iter()
-        .filter(|&t| t <= max_threads)
-        .collect();
-    sweep_threads.dedup();
-    let sweep_n = 100_000_000u64;
-    let sweep: Vec<(usize, f64)> = sweep_threads
-        .iter()
-        .map(|&threads| {
-            let target = 1_000_000_000u64;
-            let r = rate(target, || {
-                let mut sim = BatchSimulation::new(ThreeState, counts(sweep_n), 42);
-                sim.set_threads(threads);
-                let t0 = Instant::now();
-                while sim.interactions() < target {
-                    sim.step_batch();
-                }
-                t0.elapsed().as_secs_f64()
-            });
-            (threads, r)
-        })
-        .collect();
-    // The threaded engine at --threads 1 IS the serial path (the pool
-    // never engages), so it must not regress the untouched baseline row
-    // beyond measurement noise.
-    let serial_ratio = sweep[0].1 / rows[2].1[2];
-    assert!(
-        serial_ratio >= 0.8,
-        "threads=1 sweep fell to {serial_ratio:.2}x of the serial multinomial rate"
-    );
-
     println!("interactions/sec on 3-state majority (60/40 start):");
     println!(
         "{:>20} {:>12} {:>12} {:>12}",
@@ -148,23 +113,16 @@ fn main() {
     }
     let speedup = rows[2].1[1] / rows[1].1[1];
     println!("multinomial vs pairwise at n=1e6: {speedup:.1}x (acceptance bar: 10x)");
-    println!("thread sweep, batch_multinomial at n=1e8 (of {max_threads} cores):");
-    for &(threads, r) in &sweep {
-        println!(
-            "{:>20} {:>12}  ({:.2}x vs 1 thread)",
-            format!("threads={threads}"),
-            human(r),
-            r / sweep[0].1
-        );
-    }
 
+    // Every engine runs on one thread; the core count documents the host.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut json = String::from("{\n");
     json.push_str("  \"protocol\": \"three_state_majority\",\n");
     json.push_str("  \"configuration\": \"60/40 opinion split, pre-convergence budget\",\n");
     json.push_str(
         "  \"generated_by\": \"cargo run --release -p plurality-bench --bin bench_engine\",\n",
     );
-    json.push_str(&format!("  \"threads_available\": {max_threads},\n"));
+    json.push_str(&format!("  \"threads_available\": {cores},\n"));
     json.push_str("  \"interactions_per_sec\": {\n");
     for (r, (name, rates)) in rows.iter().enumerate() {
         json.push_str(&format!("    \"{name}\": {{"));
@@ -181,14 +139,6 @@ fn main() {
         json.push('\n');
     }
     json.push_str("  },\n");
-    json.push_str("  \"threads_sweep_n1e8\": {");
-    for (i, &(threads, r)) in sweep.iter().enumerate() {
-        json.push_str(&format!("\"{threads}\": {r:.0}"));
-        if i + 1 < sweep.len() {
-            json.push_str(", ");
-        }
-    }
-    json.push_str("},\n");
     json.push_str(&format!(
         "  \"speedup_multinomial_vs_pairwise_n1e6\": {speedup:.2}\n"
     ));

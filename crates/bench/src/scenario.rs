@@ -569,7 +569,6 @@ impl Study {
                 faults,
                 scheduler: ctx.opts.scheduler.or(point.scheduler),
                 adversary: ctx.opts.adversary.or(point.adversary),
-                threads: ctx.opts.engine_threads(),
             };
             let stream = self.stream_base + (arm_idx as u64) * 10_000 + point_idx as u64;
             let outcomes = ctx.run_arm(sa.arm.as_ref(), &spec, stream);

@@ -282,3 +282,24 @@ fn churn_soak_resumes_byte_identically_from_a_checkpoint() {
     fs::remove_dir_all(&out_full).ok();
     fs::remove_dir_all(&out_resumed).ok();
 }
+
+#[test]
+fn trial_threading_never_changes_csv_bytes() {
+    // `--threads` only sets how many trials run at once; each trial is a
+    // pure function of its seed, so the CSVs must not move with it.
+    let mut csvs = Vec::new();
+    for threads in ["1", "4"] {
+        let out = temp_out(&format!("x21-t{threads}"));
+        let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+            .args(["run", "x21", "--trials", "2", "--threads", threads, "--out"])
+            .arg(&out)
+            .output()
+            .expect("xp runs");
+        assert!(output.status.success(), "xp run x21 --threads {threads}");
+        csvs.push(
+            fs::read_to_string(out.join("x21_byzantine_tolerance.csv")).expect("csv written"),
+        );
+        fs::remove_dir_all(&out).ok();
+    }
+    assert_eq!(csvs[0], csvs[1], "x21 CSV differs between 1 and 4 threads");
+}

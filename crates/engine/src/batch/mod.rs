@@ -61,7 +61,6 @@ pub mod birthday;
 pub mod fenwick;
 pub mod multinomial;
 pub mod pairwise;
-mod pool;
 pub(crate) mod sim;
 pub(crate) mod tally;
 
@@ -74,9 +73,10 @@ use crate::protocol::SimRng;
 /// A population protocol presented as a transition table over a small state
 /// space `0..states()`, runnable on the configuration-space engines.
 ///
-/// The `Send + Sync + 'static` supertraits let the threaded tally path
-/// share the table with pool workers; every table here is a small
-/// value-type (often zero-sized), so the bounds cost nothing in practice.
+/// The `Send + Sync + 'static` supertraits let a simulation move onto a
+/// service thread and run inside [`run_trials`](crate::ensemble::run_trials)
+/// workers; every table here is a small value-type (often zero-sized), so
+/// the bounds cost nothing in practice.
 pub trait TableProtocol: Send + Sync + 'static {
     /// Size of the state space.
     fn states(&self) -> usize;

@@ -82,12 +82,10 @@ impl<P: TableProtocol> PairwiseBatchSimulation<P> {
         self.scheduler = Some(scheduler);
     }
 
-    /// Accepted for API parity with
-    /// [`BatchSimulation::set_threads`](crate::BatchSimulation::set_threads)
-    /// and ignored: the pairwise reference engine applies every
-    /// interaction against the *live* configuration, so its batches are
-    /// inherently sequential. Results are unaffected (as they are, by
-    /// design, on the threaded engine too).
+    /// Accepted and ignored, as on
+    /// [`BatchSimulation::set_threads`](crate::BatchSimulation::set_threads):
+    /// the pairwise reference engine applies every interaction against the
+    /// *live* configuration, so its batches are inherently sequential.
     pub fn set_threads(&mut self, threads: usize) {
         let _ = threads;
     }

@@ -7,7 +7,6 @@ use rand::{Rng, SeedableRng};
 use crate::batch::birthday::draw_batch_len;
 use crate::batch::fenwick::ShardedFenwick;
 use crate::batch::multinomial::{binomial, multinomial_into, multinomial_weighted_into};
-use crate::batch::pool::{TallyJob, TallyPool};
 use crate::batch::tally::{self, run_subtree, TallyCtx, TallyScratch, TallySpec};
 use crate::batch::TableProtocol;
 use crate::churn::ChurnProcess;
@@ -32,13 +31,6 @@ const SPLIT_FLOOR: u64 = 8;
 /// already rare; the fallback is exact and unconditionally feasible.
 const MAX_TALLY_RETRIES: u32 = 8;
 
-/// Batches shorter than this run their subtrees inline even when a
-/// thread pool is available: the per-job snapshot (counts, census tree)
-/// costs more than the tally itself. Purely a scheduling choice — the
-/// pooled and inline paths compute identical tallies (see
-/// [`crate::batch::tally`]), so this cutoff cannot affect results.
-const PARALLEL_CUTOFF: u64 = 1024;
-
 /// A configuration-space simulation advancing in collision-free batches,
 /// each applied as one multinomial tally of ordered state pairs.
 ///
@@ -50,14 +42,12 @@ const PARALLEL_CUTOFF: u64 = 1024;
 /// the retained reference implementation).
 #[derive(Debug)]
 pub struct BatchSimulation<P: TableProtocol> {
-    /// Shared with pool workers during threaded tallies; plain `&P`
-    /// everywhere else.
+    /// Shared by clones, so cloning a simulation needs no `P: Clone`.
     protocol: Arc<P>,
     counts: Vec<u64>,
     /// Sharded Fenwick mirror of `counts` for `O(log S)` weighted draws;
     /// frozen at the pre-batch configuration while a tally is being
-    /// sampled. Full rebuilds (admit/churn/faults) parallelise over
-    /// shards at `threads > 1`.
+    /// sampled.
     tree: ShardedFenwick,
     n: u64,
     rng: SimRng,
@@ -90,21 +80,12 @@ pub struct BatchSimulation<P: TableProtocol> {
     /// resolve once at install and are not stored.
     adversary: Option<Arc<dyn Adversary>>,
     scheduler_saturated: bool,
-    /// Worker budget for one run (tally subtrees, census rebuilds). Not
-    /// part of the checkpointed state: results are identical at every
-    /// value, so a resumed run may use a different thread count.
-    threads: usize,
-    /// Persistent tally workers, spawned lazily on the first threaded
-    /// batch and dropped when `threads` returns to 1. Never cloned or
-    /// checkpointed.
-    pool: Option<TallyPool<P>>,
-    /// Coordinator-side kernel scratch, reused across batches.
+    /// Subtree kernel scratch, reused across batches.
     scratch: TallyScratch,
 }
 
 impl<P: TableProtocol> Clone for BatchSimulation<P> {
-    /// Clones share the protocol (`Arc`) but never the worker pool; the
-    /// clone respawns its own lazily if it runs threaded.
+    /// Clones share the protocol (`Arc`) and start with fresh scratch.
     fn clone(&self) -> Self {
         Self {
             protocol: Arc::clone(&self.protocol),
@@ -125,8 +106,6 @@ impl<P: TableProtocol> Clone for BatchSimulation<P> {
             lie: self.lie,
             adversary: self.adversary.clone(),
             scheduler_saturated: self.scheduler_saturated,
-            threads: self.threads,
-            pool: None,
             scratch: TallyScratch::default(),
         }
     }
@@ -169,35 +148,22 @@ impl<P: TableProtocol> BatchSimulation<P> {
             lie: None,
             adversary: None,
             scheduler_saturated: false,
-            threads: 1,
-            pool: None,
             scratch: TallyScratch::default(),
         }
     }
 
-    /// Set the worker budget for this run. `1` (the default) keeps
-    /// everything on the calling thread; larger values run tally subtrees
-    /// and census rebuilds on up to `threads` workers (the calling thread
-    /// included). **Results are byte-identical at every setting** — every
-    /// parallel draw runs on a counter-based substream keyed by its place
-    /// in the tally structure, never by thread (see
-    /// [`crate::batch::tally`]) — so this is purely a throughput knob.
+    /// Accepted and ignored: a run always tallies on the calling thread.
+    /// A worker pool over a batch's initiator subtrees ran slower than
+    /// one thread on two cores (0.47× on 3-state majority at `n = 10⁸`,
+    /// 0.68× on USD `k = 64` at `n = 10⁷`). Parallelism lives across
+    /// independent trials instead ([`crate::ensemble::run_trials`]).
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        if self.threads == 1 {
-            self.pool = None;
-        } else if self
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.workers() + 1 != self.threads)
-        {
-            self.pool = None; // respawned lazily at the new size
-        }
+        let _ = threads;
     }
 
-    /// The worker budget for this run.
+    /// Always `1`; see [`set_threads`](Self::set_threads).
     pub fn threads(&self) -> usize {
-        self.threads
+        1
     }
 
     /// Replace the uniform pair scheduler with an adversarial one. The
@@ -312,7 +278,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
         self.fold_clock();
         self.counts[state] += count;
         self.n += count;
-        self.tree.rebuild(&self.counts, self.threads);
+        self.tree.rebuild(&self.counts);
     }
 
     /// Parallel time elapsed: interactions divided by the population size,
@@ -401,11 +367,9 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// The attempt is structured as a split tree: the root multinomial
     /// (drawn here, from the main stream) splits the batch across
     /// initiator states, and each initiator's subtree resolves on a
-    /// counter-based substream keyed by `(key, subtree index)` — inline
-    /// at `threads == 1`, claimed by pool workers otherwise, with
-    /// byte-identical results either way (see [`crate::batch::tally`]).
-    /// Main-stream consumption per attempt (the root draw plus one key
-    /// word) is therefore thread-count-invariant.
+    /// counter-based substream keyed by `(key, subtree index)` (see
+    /// [`crate::batch::tally`]). Main-stream consumption per attempt is
+    /// the root draw plus one key word.
     fn try_tally(&mut self, len: u64) -> bool {
         self.delta.iter_mut().for_each(|d| *d = 0);
         self.usage.iter_mut().for_each(|u| *u = 0);
@@ -424,35 +388,29 @@ impl<P: TableProtocol> BatchSimulation<P> {
         let split_threshold = SPLIT_FLOOR.max(occupied);
         let key = self.rng.gen::<u64>();
 
-        if self.threads > 1 && len >= PARALLEL_CUTOFF && self.initiators.len() > 1 {
-            self.tally_pooled(split_threshold, key);
-        } else {
-            let initiators = std::mem::take(&mut self.initiators);
-            for (subtree, &(a, multiplicity)) in initiators.iter().enumerate() {
-                let spec = TallySpec {
-                    ctx: TallyCtx {
-                        protocol: &*self.protocol,
-                        deterministic: self.deterministic,
-                        lie: self.lie,
-                        states: self.counts.len(),
-                    },
-                    counts: &self.counts,
-                    n: self.n,
-                    tree: &self.tree,
-                    split_threshold,
-                    key,
-                };
-                run_subtree(
-                    &spec,
-                    subtree,
-                    a,
-                    multiplicity,
-                    &mut self.scratch,
-                    &mut self.delta,
-                    &mut self.usage,
-                );
-            }
-            self.initiators = initiators;
+        let spec = TallySpec {
+            ctx: TallyCtx {
+                protocol: &*self.protocol,
+                deterministic: self.deterministic,
+                lie: self.lie,
+                states: self.counts.len(),
+            },
+            counts: &self.counts,
+            n: self.n,
+            tree: &self.tree,
+            split_threshold,
+            key,
+        };
+        for (subtree, &(a, multiplicity)) in self.initiators.iter().enumerate() {
+            run_subtree(
+                &spec,
+                subtree,
+                a,
+                multiplicity,
+                &mut self.scratch,
+                &mut self.delta,
+                &mut self.usage,
+            );
         }
 
         // Feasibility: within a collision-free batch every participant is
@@ -472,39 +430,6 @@ impl<P: TableProtocol> BatchSimulation<P> {
             }
         }
         true
-    }
-
-    /// Run the current attempt's subtrees on the worker pool: snapshot
-    /// the configuration into a [`TallyJob`], let `threads` claimants
-    /// (this thread included) drain it, and merge the per-subtree
-    /// accumulators in subtree order. Merging is plain summation, so the
-    /// result equals the inline loop exactly.
-    fn tally_pooled(&mut self, split_threshold: u64, key: u64) {
-        let workers = self.threads - 1;
-        if self.pool.is_none() {
-            self.pool = Some(TallyPool::new(workers));
-        }
-        let job = TallyJob::new(
-            Arc::clone(&self.protocol),
-            self.deterministic,
-            self.lie,
-            self.counts.clone(),
-            self.n,
-            self.tree.clone(),
-            split_threshold,
-            key,
-            self.initiators.clone(),
-        );
-        let pool = self.pool.as_ref().expect("pool installed above");
-        let done = pool.run(job, &mut self.scratch);
-        let states = self.counts.len();
-        for out in done.outs.iter().take(done.subtrees.len()) {
-            let out = out.lock().expect("subtree slot poisoned");
-            for s in 0..states {
-                self.delta[s] += out.delta[s];
-                self.usage[s] += out.usage[s];
-            }
-        }
     }
 
     /// Exact per-pair application (the seed semantics): each interaction
@@ -870,7 +795,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
                 &action,
                 &mut self.rng,
             );
-            self.tree.rebuild(&self.counts, self.threads);
+            self.tree.rebuild(&self.counts);
             records.push(FaultRecord {
                 at: self.parallel_time(),
                 hook: label,
@@ -1030,7 +955,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             }
             self.n += joins;
         }
-        self.tree.rebuild(&self.counts, self.threads);
+        self.tree.rebuild(&self.counts);
     }
 
     /// The health sample `run_churned` records at each sampling mark.
@@ -1377,102 +1302,6 @@ pub(crate) mod tests {
         assert_eq!(sim.batches(), 5);
     }
 
-    /// Step `batches` batches at the given thread count and return the
-    /// observable trajectory endpoint: counts, RNG state, clock, batches.
-    fn trajectory<P: TableProtocol>(
-        protocol: P,
-        counts: Vec<u64>,
-        seed: u64,
-        threads: usize,
-        batches: u64,
-    ) -> (Vec<u64>, [u64; 4], f64, u64) {
-        let mut sim = BatchSimulation::new(protocol, counts, seed);
-        sim.set_threads(threads);
-        for _ in 0..batches {
-            sim.step_batch();
-        }
-        (
-            sim.counts().to_vec(),
-            sim.rng_state(),
-            sim.parallel_time(),
-            sim.batches(),
-        )
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_trajectory() {
-        // n large enough that batch lengths (ℓ ≈ 0.627·√n ≈ 1250) cross
-        // PARALLEL_CUTOFF, so threads > 1 actually takes the pooled path.
-        let n = 4_000_000u64;
-        let counts = vec![0u64, n / 2 + 120_000, n / 2 - 120_000];
-        let want = trajectory(Am3, counts.clone(), 23, 1, 60);
-        for threads in [2usize, 8] {
-            let got = trajectory(Am3, counts.clone(), 23, threads, 60);
-            assert_eq!(got, want, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn thread_count_invariance_holds_for_randomized_tables() {
-        // CoinClash consumes per-interaction randomness inside the
-        // subtree kernels — the stress case for substream assignment.
-        let n = 4_000_000u64;
-        let counts = vec![n / 2 + 40_000, n / 2 - 40_000];
-        let want = trajectory(CoinClash, counts.clone(), 31, 1, 40);
-        for threads in [2usize, 8] {
-            let got = trajectory(CoinClash, counts.clone(), 31, threads, 40);
-            assert_eq!(got, want, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn thread_count_invariance_holds_under_an_adversary() {
-        // The Byzantine split runs as array passes inside each subtree;
-        // the forged-opinion resolution happens once per batch on the
-        // main stream, so it too must be thread-invariant.
-        let n = 4_000_000u64;
-        let counts = vec![0u64, n / 2 + 80_000, n / 2 - 80_000];
-        let run = |threads: usize| {
-            let mut sim = BatchSimulation::new(Am3, counts.clone(), 41);
-            sim.set_adversary(Arc::new(crate::fault::ByzantineAdversary {
-                frac: 0.05,
-                opinion: Some(2),
-            }));
-            sim.set_threads(threads);
-            for _ in 0..40 {
-                sim.step_batch();
-            }
-            (sim.counts().to_vec(), sim.rng_state())
-        };
-        let want = run(1);
-        for threads in [2usize, 8] {
-            assert_eq!(run(threads), want, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn changing_threads_mid_run_does_not_disturb_the_stream() {
-        // set_threads is pure scheduling: flipping it between batches
-        // must leave the trajectory on the single-thread rail.
-        let n = 4_000_000u64;
-        let counts = vec![0u64, n / 2 + 50_000, n / 2 - 50_000];
-        let want = trajectory(Am3, counts.clone(), 53, 1, 30);
-        let mut sim = BatchSimulation::new(Am3, counts, 53);
-        for i in 0..30u64 {
-            sim.set_threads(if i % 3 == 0 { 1 } else { 4 } as usize);
-            sim.step_batch();
-        }
-        assert_eq!(
-            (
-                sim.counts().to_vec(),
-                sim.rng_state(),
-                sim.parallel_time(),
-                sim.batches()
-            ),
-            want
-        );
-    }
-
     #[test]
     fn ten_billion_agents_conserve_population() {
         // n = 10^10 exceeds u32 and any dense-agent representation; the
@@ -1480,7 +1309,6 @@ pub(crate) mod tests {
         // intermediate overflow. Batch lengths run ≈ 62 670 here.
         let n = 10_000_000_000u64;
         let mut sim = BatchSimulation::new(Am3, vec![0, 5_500_000_000, 4_500_000_000], 71);
-        sim.set_threads(2); // exercise the pooled path at scale too
         for _ in 0..50 {
             sim.step_batch();
             assert_eq!(sim.counts().iter().sum::<u64>(), n);

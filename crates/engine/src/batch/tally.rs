@@ -1,5 +1,4 @@
-//! The per-initiator tally kernel shared by the serial and threaded
-//! batch paths.
+//! The per-initiator tally kernel of the batched engine.
 //!
 //! A uniform batch tally is a two-level conditional-binomial split tree:
 //! the root multinomial splits the batch's `ℓ` interactions over
@@ -8,21 +7,20 @@
 //! Fenwick draw per interaction below it) and folds the resulting
 //! transitions into per-state `delta`/`usage` accumulators.
 //!
-//! **Determinism model.** The root split is drawn on the coordinating
-//! thread from the main simulation stream; each subtree then runs on a
-//! *counter-based* substream seeded `derive(key, subtree_index)`, where
-//! `key` is one word drawn from the main stream per tally attempt. A
-//! subtree's output is therefore a pure function of
-//! `(key, subtree_index, configuration)` — it does not matter which
-//! worker runs it, in what order, or how many workers exist — and the
-//! merged tally is a pure function of the attempt's inputs. That is the
-//! whole thread-count-invariance argument: 1, 2, or 64 threads claim the
-//! same subtrees with the same substreams and sum the same integers.
-//!
+//! **Determinism model.** The root split is drawn from the main
+//! simulation stream; each subtree then runs on a *counter-based*
+//! substream seeded `derive(key, subtree_index)`, where `key` is one word
+//! drawn from the main stream per tally attempt. A subtree's output is
+//! therefore a pure function of `(key, subtree_index, configuration)`,
+//! and the merged tally is a pure function of the attempt's inputs.
+//! These keys are part of the replay contract: recorded runs and
+//! `ppckpt v1` checkpoints depend on them, so any change to how they are
+//! drawn changes output bytes (`tests/golden_bytes.rs` pins them).
+
 //! The accumulation helpers ([`accumulate`] and friends) are free
 //! functions so the adversarial-scheduler path in
-//! [`sim`](crate::batch::BatchSimulation), which stays serial (its
-//! real-valued class weighting is inherently sequential), shares the
+//! [`sim`](crate::batch::BatchSimulation), which draws pairs one by one
+//! (its real-valued class weighting is inherently sequential), shares the
 //! exact transition semantics.
 
 use rand::SeedableRng;
@@ -44,8 +42,7 @@ pub(crate) struct TallyCtx<'a, P: TableProtocol> {
     pub states: usize,
 }
 
-/// Everything a subtree kernel reads but never writes, bundled so the
-/// serial loop and the pool workers call the same entry point.
+/// Everything a subtree kernel reads but never writes.
 pub(crate) struct TallySpec<'a, P: TableProtocol, T: StateSampler> {
     pub ctx: TallyCtx<'a, P>,
     /// Pre-batch configuration (frozen while the tally is sampled).
@@ -61,7 +58,7 @@ pub(crate) struct TallySpec<'a, P: TableProtocol, T: StateSampler> {
     pub key: u64,
 }
 
-/// Worker-local scratch reused across subtrees and batches.
+/// Kernel scratch reused across subtrees and batches.
 #[derive(Debug, Default)]
 pub(crate) struct TallyScratch {
     responders: Vec<(usize, u64)>,

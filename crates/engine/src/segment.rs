@@ -166,15 +166,6 @@ impl<P: TableProtocol> SegmentRunner<P> {
         &mut self.sim
     }
 
-    /// Set the engine's worker budget (see
-    /// [`BatchSimulation::set_threads`]). Purely a throughput knob: the
-    /// driven run, its series, and its checkpoints are byte-identical at
-    /// every value, so a service may resume a checkpoint with a different
-    /// thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.sim.set_threads(threads);
-    }
-
     /// The churn process driving the segments.
     pub fn churn(&self) -> &ChurnProcess {
         &self.churn

@@ -9,7 +9,7 @@
 //!     [--n N] [--init C0,C1,...] [--seed S] [--churn SPEC]
 //!     [--segment T] [--sample-every T] [--series-cap K]
 //!     [--checkpoint FILE] [--checkpoint-secs X] [--resume FILE]
-//!     [--workers W] [--threads T] [--lockstep]
+//!     [--workers W] [--lockstep]
 //! ```
 //!
 //! On startup the daemon prints exactly one line to stdout —
@@ -42,7 +42,7 @@ fn usage() -> &'static str {
      \x20          [--init C0,C1,...] [--seed S] [--churn SPEC] [--segment T]\n\
      \x20          [--sample-every T] [--series-cap K] [--checkpoint FILE]\n\
      \x20          [--checkpoint-secs X] [--resume FILE] [--workers W]\n\
-     \x20          [--threads T] [--lockstep]"
+     \x20          [--lockstep]"
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
@@ -138,17 +138,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .map_err(|_| "--workers must be a positive integer".to_string())?;
                 if opts.workers == 0 {
                     return Err("--workers must be at least 1".to_string());
-                }
-            }
-            "--threads" => {
-                // Engine worker threads (default: all cores). Pure
-                // scheduling — the trajectory and every checkpoint are
-                // byte-identical at any value.
-                opts.cfg.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_string())?;
-                if opts.cfg.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
                 }
             }
             "--lockstep" => opts.cfg.lockstep = true,

@@ -69,10 +69,6 @@ pub struct ServiceConfig {
     pub checkpoint_secs: Option<f64>,
     /// Resume from this snapshot instead of a fresh start.
     pub resume: Option<PathBuf>,
-    /// Worker threads inside the engine. Pure scheduling: the trajectory
-    /// (and every checkpoint) is byte-identical at any value, so a
-    /// resumed daemon may use a different count than the one it replaces.
-    pub threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -92,7 +88,6 @@ impl Default for ServiceConfig {
             checkpoint_path: None,
             checkpoint_secs: None,
             resume: None,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
         }
     }
 }
@@ -190,7 +185,7 @@ impl Service {
         P: TableProtocol + Send + 'static,
     {
         let churn = ChurnProcess::new(cfg.churn).with_sample_every(cfg.sample_every);
-        let mut runner = match &cfg.resume {
+        let runner = match &cfg.resume {
             Some(path) => SegmentRunner::resume(path, protocol, churn)?,
             None => SegmentRunner::new(
                 BatchSimulation::new(protocol, cfg.initial.clone(), cfg.seed),
@@ -198,10 +193,8 @@ impl Service {
                 cfg.initial.clone(),
             ),
         };
-        runner.set_threads(cfg.threads);
 
         let stats = Arc::new(ServiceStats::new());
-        stats.threads.store(cfg.threads as u64, Ordering::Relaxed);
         let stop = Arc::new(AtomicBool::new(false));
         let (ctl_tx, ctl_rx) = mpsc::channel();
 

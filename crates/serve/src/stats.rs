@@ -34,8 +34,6 @@ pub struct ServiceStats {
     pub checkpoints: AtomicU64,
     /// Total nanoseconds spent writing checkpoints.
     pub checkpoint_ns: AtomicU64,
-    /// Engine worker threads (set once at spawn from the service config).
-    pub threads: AtomicU64,
 }
 
 impl Default for ServiceStats {
@@ -58,7 +56,6 @@ impl ServiceStats {
             segments: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             checkpoint_ns: AtomicU64::new(0),
-            threads: AtomicU64::new(1),
         }
     }
 
@@ -90,7 +87,6 @@ impl ServiceStats {
             interactions_rate: interactions as f64 / uptime_s,
             batches: self.batches.load(Ordering::Relaxed),
             segments: self.segments.load(Ordering::Relaxed),
-            threads: self.threads.load(Ordering::Relaxed),
             checkpoints,
             checkpoint_mean_ms: if checkpoints == 0 {
                 f64::NAN

@@ -1,21 +1,20 @@
-//! Thread-count invariance: the bedrock reproducibility contract of the
-//! threaded batch engine. Same seed ⇒ byte-identical trajectory at *any*
-//! `set_threads` value — full runs, fault records, adversarial runs,
-//! churned segment runs, and checkpoints. Thread counts are pure
-//! scheduling; if any assertion here fails, parallelism has leaked into
-//! the random stream.
-//!
-//! Populations sit above ~3×10⁶ so batch lengths (ℓ ≈ 0.627·√n) cross
-//! the engine's internal parallel cutoff and the pooled path actually
-//! runs when threads > 1.
+//! Trial-level thread-count invariance: the reproducibility contract
+//! behind `xp --threads`. A single run always tallies on the calling
+//! thread; parallelism lives across independent trials
+//! ([`run_trials`]), each seeded from its index alone. Same seed ⇒ the
+//! same per-trial results, fault records, churned series and
+//! checkpoints at any worker count. If an assertion here fails, trials
+//! have started to share state or to depend on which worker ran them.
 
+use exact_plurality::engine::ensemble::run_trials;
 use exact_plurality::engine::fault::ByzantineAdversary;
 use exact_plurality::engine::{rng, ChurnProcess, ChurnSpec, SegmentRunner};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
 use std::sync::Arc;
 
-const N: u64 = 4_000_000;
+const N: u64 = 1_000_000;
+const TRIALS: usize = 6;
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn init() -> Vec<u64> {
@@ -28,19 +27,30 @@ fn trace(r: &RunResult) -> String {
     format!("{r:?}")
 }
 
+/// Run the ensemble at every thread count and require identical
+/// per-trial outputs, in trial order.
+fn assert_invariant<R>(trial: impl Fn(usize) -> R + Sync)
+where
+    R: Send + PartialEq + std::fmt::Debug,
+{
+    let want = run_trials(TRIALS, 1, &trial);
+    for threads in &THREADS[1..] {
+        assert_eq!(
+            run_trials(TRIALS, *threads, &trial),
+            want,
+            "threads = {threads}"
+        );
+    }
+}
+
 #[test]
 fn full_runs_are_byte_identical_across_thread_counts() {
     let opts = RunOptions::with_parallel_time_budget(N as usize, 4.0);
-    let run = |threads: usize| {
-        let mut sim = BatchSimulation::new(ThreeState, init(), 7001);
-        sim.set_threads(threads);
+    assert_invariant(|i| {
+        let mut sim = BatchSimulation::new(ThreeState, init(), rng::derive(7001, i as u64));
         let r = sim.run(&opts);
         (trace(&r), sim.counts().to_vec(), sim.rng_state())
-    };
-    let want = run(1);
-    for threads in &THREADS[1..] {
-        assert_eq!(run(*threads), want, "threads = {threads}");
-    }
+    });
 }
 
 #[test]
@@ -49,36 +59,26 @@ fn faulted_runs_replay_fault_records_at_any_thread_count() {
         &FaultSpec::parse_list("corrupt@1:0.2,churn@2:0.1").expect("specs parse"),
     );
     let opts = RunOptions::with_parallel_time_budget(N as usize, 4.0);
-    let run = |threads: usize| {
-        let mut sim = BatchSimulation::new(ThreeState, init(), 7002);
-        sim.set_threads(threads);
+    assert_invariant(|i| {
+        let mut sim = BatchSimulation::new(ThreeState, init(), rng::derive(7002, i as u64));
         let r = sim.run_faulted(&opts, &plan);
         assert!(!r.faults.is_empty(), "the plan must actually strike");
         (trace(&r), sim.counts().to_vec(), sim.rng_state())
-    };
-    let want = run(1);
-    for threads in &THREADS[1..] {
-        assert_eq!(run(*threads), want, "threads = {threads}");
-    }
+    });
 }
 
 #[test]
 fn adversarial_runs_are_thread_count_invariant() {
     let opts = RunOptions::with_parallel_time_budget(N as usize, 3.0);
-    let run = |threads: usize| {
-        let mut sim = BatchSimulation::new(ThreeState, init(), 7003);
+    assert_invariant(|i| {
+        let mut sim = BatchSimulation::new(ThreeState, init(), rng::derive(7003, i as u64));
         sim.set_adversary(Arc::new(ByzantineAdversary {
             frac: 0.05,
             opinion: Some(2),
         }));
-        sim.set_threads(threads);
         let r = sim.run(&opts);
         (trace(&r), sim.counts().to_vec(), sim.rng_state())
-    };
-    let want = run(1);
-    for threads in &THREADS[1..] {
-        assert_eq!(run(*threads), want, "threads = {threads}");
-    }
+    });
 }
 
 #[test]
@@ -94,60 +94,54 @@ fn pairwise_engine_accepts_the_knob_as_a_no_op() {
     assert_eq!(run(1), run(8));
 }
 
+fn churned_runner(seed: u64, i: usize) -> SegmentRunner<ThreeState> {
+    let spec: ChurnSpec = "churn:0.002:0.002".parse().expect("churn spec");
+    SegmentRunner::new(
+        BatchSimulation::new(ThreeState, init(), rng::derive(seed, i as u64)),
+        ChurnProcess::new(spec),
+        init(),
+    )
+}
+
 #[test]
 fn churned_segment_runs_and_checkpoints_are_identical() {
-    let spec: ChurnSpec = "churn:0.002:0.002".parse().expect("churn spec");
-    let drive = |threads: usize| {
-        let mut runner = SegmentRunner::new(
-            BatchSimulation::new(ThreeState, init(), rng::derive(7005, 1)),
-            ChurnProcess::new(spec),
-            init(),
-        );
-        runner.set_threads(threads);
+    assert_invariant(|i| {
+        let mut runner = churned_runner(7005, i);
         runner.advance_to(4.0);
         (
             runner.checkpoint().to_text(),
             format!("{:?}", runner.series()),
         )
-    };
-    let want = drive(1);
-    for threads in &THREADS[1..] {
-        assert_eq!(drive(*threads), want, "threads = {threads}");
-    }
+    });
 }
 
 #[test]
 fn a_resume_may_change_the_thread_count_mid_flight() {
-    // Kill at t=2 on one thread, resume on eight (and vice versa): the
-    // stitched trajectory must match the uninterrupted single-thread
-    // run because checkpoints never record scheduling state.
+    // Checkpoint every trial at t=2 from an ensemble on one worker count,
+    // resume them all on another: each stitched trajectory must match
+    // its uninterrupted run, because checkpoints hold no scheduling state.
     let spec: ChurnSpec = "churn:0.002:0.002".parse().expect("churn spec");
-    let uninterrupted = {
-        let mut runner = SegmentRunner::new(
-            BatchSimulation::new(ThreeState, init(), rng::derive(7006, 1)),
-            ChurnProcess::new(spec),
-            init(),
-        );
+    let uninterrupted = run_trials(TRIALS, 1, |i| {
+        let mut runner = churned_runner(7006, i);
         runner.advance_to(4.0);
         runner.checkpoint().to_text()
-    };
+    });
     for (first, second) in [(1usize, 8usize), (8, 1)] {
-        let mut runner = SegmentRunner::new(
-            BatchSimulation::new(ThreeState, init(), rng::derive(7006, 1)),
-            ChurnProcess::new(spec),
-            init(),
-        );
-        runner.set_threads(first);
-        runner.advance_to(2.0);
-        let ck = runner.checkpoint();
-        let mut resumed = SegmentRunner::from_checkpoint(&ck, ThreeState, ChurnProcess::new(spec))
+        let checkpoints = run_trials(TRIALS, first, |i| {
+            let mut runner = churned_runner(7006, i);
+            runner.advance_to(2.0);
+            runner.checkpoint()
+        });
+        let resumed = run_trials(TRIALS, second, |i| {
+            let mut runner = SegmentRunner::from_checkpoint(
+                &checkpoints[i],
+                ThreeState,
+                ChurnProcess::new(spec),
+            )
             .expect("checkpoint restores");
-        resumed.set_threads(second);
-        resumed.advance_to(4.0);
-        assert_eq!(
-            resumed.checkpoint().to_text(),
-            uninterrupted,
-            "threads {first} -> {second}"
-        );
+            runner.advance_to(4.0);
+            runner.checkpoint().to_text()
+        });
+        assert_eq!(resumed, uninterrupted, "threads {first} -> {second}");
     }
 }
