@@ -1,7 +1,7 @@
 //! Engine-erased experiment arms.
 //!
 //! An *arm* is one protocol-under-test inside a scenario: a paper protocol
-//! on the sequential engine, a table protocol on any of the three engines,
+//! on the sequential engine, a table protocol on either engine,
 //! or a bespoke closure. The [`ErasedArm`] trait erases the concrete
 //! protocol and engine types behind one uniform trial interface, so every
 //! arm — regardless of which simulator it needs — honors `--engine`,
@@ -11,8 +11,8 @@
 
 use plurality_core::Tuning;
 use pp_engine::{
-    AdversarySpec, BatchSimulation, Census, FaultPlan, FaultSpec, PairwiseBatchSimulation,
-    RunOptions, RunStatus, SchedulerSpec, SeqTable, Simulation, TableProtocol,
+    AdversarySpec, BatchSimulation, Census, FaultPlan, FaultSpec, RunOptions, RunStatus,
+    SchedulerSpec, SeqTable, Simulation, TableProtocol,
 };
 use pp_workloads::Counts;
 
@@ -168,16 +168,6 @@ where
                 }
                 (sim.run_faulted(&opts, &plan), None)
             }
-            Engine::Pairwise => {
-                let mut sim = PairwiseBatchSimulation::new(table, init, seed);
-                if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched.build());
-                }
-                if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv.build());
-                }
-                (sim.run_faulted(&opts, &plan), None)
-            }
             Engine::Seq => {
                 let states = SeqTable::<P>::initial_states(&init);
                 let mut sim = Simulation::new(SeqTable::new(table), states, seed);
@@ -211,8 +201,8 @@ where
 /// A table protocol as an engine-erased arm: `factory` builds the table
 /// and its initial configuration from the grid point's opinion counts.
 /// The arm runs on whichever engine `--engine` selects — batched
-/// (multinomial tallies), pairwise-batched, or sequential via
-/// [`pp_engine::SeqTable`] (capped at [`SEQ_CAP`] agents).
+/// (multinomial tallies) or sequential via [`pp_engine::SeqTable`]
+/// (capped at [`SEQ_CAP`] agents).
 ///
 /// Correctness is judged against the planted plurality, so the table's
 /// output values must be opinion identifiers (true for USD and the
@@ -276,12 +266,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn usd_arm_agrees_across_all_three_engines() {
+    fn usd_arm_agrees_across_both_engines() {
         let counts = Counts::bias_one(801, 3);
         let spec = TrialSpec::new(&counts, 1.0e4);
         let arm = usd();
         assert!(arm.engine_aware());
-        for engine in [Engine::Seq, Engine::Batch, Engine::Pairwise] {
+        for engine in [Engine::Seq, Engine::Batch] {
             let out = arm.run(&spec, engine, 11);
             assert!(out.converged, "usd did not converge on {}", engine.name());
         }
@@ -308,7 +298,7 @@ mod tests {
         // USD over k = 3 occupies at most 4 states (blank + opinions).
         let states = out.census.expect("census requested on seq");
         assert!((2..=4).contains(&states), "states = {states}");
-        // Batched engines cannot collect a per-agent census.
+        // The batched engine cannot collect a per-agent census.
         assert!(usd().run(&spec, Engine::Batch, 5).census.is_none());
     }
 }

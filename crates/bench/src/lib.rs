@@ -4,8 +4,8 @@
 //! This crate expresses it as *data*:
 //!
 //! * [`arm`] — engine-erased protocol arms ([`arm::ErasedArm`]): paper
-//!   protocols on the sequential engine, table protocols on any of the
-//!   three engines (`--engine {seq,batch,pairwise}`), bespoke closures —
+//!   protocols on the sequential engine, table protocols on either
+//!   engine (`--engine {seq,batch}`), bespoke closures —
 //!   all sharing seed derivation, ensemble threading and census handling;
 //! * [`scenario`] — [`scenario::Scenario`] (a registered experiment) and
 //!   [`scenario::Study`] (a declarative grid × arms × columns runner);
@@ -13,7 +13,7 @@
 //!   engine, fault plan, scheduler, git revision, wall time, per-table
 //!   schemas) for every run;
 //! * [`registry`] — the scenario table behind `xp list` / `xp run` /
-//!   `xp all` and the legacy `x01_…`–`x16_…` shim binaries;
+//!   `xp all`;
 //! * [`harness`] — the shared CLI ([`ExpOpts`], [`parse_args`]) and
 //!   trial-ensemble execution, including the fault-injection flags
 //!   (`--faults corrupt@50:0.1,…` and `--scheduler starve:1:0.5`) that
@@ -28,9 +28,8 @@
 //! xp all --filter usd          # every scenario whose name matches
 //! ```
 //!
-//! The legacy binaries (`x01_simple_scaling`, …) still exist as shims
-//! delegating into the registry, so `cargo run --bin x01_simple_scaling`
-//! and `xp run x01` produce identical rows for the same seed.
+//! Scenarios answer to their short name or their slug: `xp run x01` and
+//! `xp run x01_simple_scaling` are the same run.
 //!
 //! # Adding a scenario
 //!

@@ -35,7 +35,7 @@ use crate::sink::Sink;
 pub struct Scenario {
     /// Short name (`"x01"`), the primary CLI handle.
     pub name: &'static str,
-    /// Long name (`"x01_simple_scaling"`), matching the legacy binary.
+    /// Long name (`"x01_simple_scaling"`), the second CLI handle.
     pub slug: &'static str,
     /// One-line description for `xp list`.
     pub about: &'static str,

@@ -1,7 +1,7 @@
 //! Result emission: console tables, CSV files, and the JSON run manifest.
 //!
 //! Every scenario run goes through one [`Sink`]. Tables are printed and
-//! written as CSV exactly as the legacy binaries did; in addition the sink
+//! written as CSV; in addition the sink
 //! records each table's schema and, on [`Sink::finish`], writes a
 //! `<scenario>_manifest.json` next to the CSVs capturing everything needed
 //! to reproduce the run: scenario name, base seed, trial count, grid

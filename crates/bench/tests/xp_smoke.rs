@@ -52,8 +52,8 @@ fn tiny_scenario_end_to_end_csv_and_manifest() {
 
 #[test]
 fn same_seed_reproduces_identical_rows() {
-    // The registry promise behind the xp ↔ legacy-shim parity criterion:
-    // one scenario implementation, deterministic given (seed, trials).
+    // The registry promise: one scenario implementation, deterministic
+    // given (seed, trials).
     let scenario = registry::find("x17").expect("registered");
     let mut csvs = Vec::new();
     for tag in ["rep-a", "rep-b"] {

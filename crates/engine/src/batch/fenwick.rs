@@ -29,7 +29,7 @@ const SHARD_STATES: usize = 256;
 /// Anything that maps a cumulative-weight target to a state index — the
 /// read-only interface the batch tally kernel samples through, satisfied
 /// by both [`Fenwick`] and [`ShardedFenwick`] with identical semantics.
-pub trait StateSampler {
+pub(crate) trait StateSampler {
     /// Sum of all weights.
     fn total_weight(&self) -> u64;
 
@@ -49,7 +49,7 @@ pub trait StateSampler {
 
 /// Fenwick tree over `u64` weights for weighted index sampling.
 #[derive(Debug, Clone)]
-pub struct Fenwick {
+pub(crate) struct Fenwick {
     /// 1-indexed partial sums: `tree[i]` covers `(i - lowbit(i), i]`.
     tree: Vec<u64>,
     /// Number of weights.
@@ -85,16 +85,6 @@ impl Fenwick {
             top,
             total,
         }
-    }
-
-    /// Number of weights.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the tree covers no weights (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Sum of all weights.
@@ -135,17 +125,6 @@ impl Fenwick {
             i &= i - 1;
         }
         sum
-    }
-
-    /// Draw an index with probability proportional to its weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total weight is zero.
-    #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        assert!(self.total > 0, "cannot sample from an empty distribution");
-        self.index_of(rng.gen_range(0..self.total))
     }
 
     /// The index whose cumulative weight interval contains `target`
@@ -346,7 +325,7 @@ mod tests {
         // Zero-weight index is never sampled.
         let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..2000 {
-            assert_ne!(t.sample(&mut rng), 2);
+            assert_ne!(t.draw(&mut rng), 2);
         }
     }
 
@@ -358,7 +337,7 @@ mod tests {
         let trials = 100_000;
         let mut hist = [0u64; 4];
         for _ in 0..trials {
-            hist[t.sample(&mut rng)] += 1;
+            hist[t.draw(&mut rng)] += 1;
         }
         assert_eq!(hist[1], 0);
         for (i, &h) in hist.iter().enumerate() {
@@ -375,7 +354,7 @@ mod tests {
         let t = Fenwick::from_weights(&[42]);
         let mut rng = SimRng::seed_from_u64(1);
         for _ in 0..100 {
-            assert_eq!(t.sample(&mut rng), 0);
+            assert_eq!(t.draw(&mut rng), 0);
         }
     }
 
@@ -397,7 +376,7 @@ mod tests {
             let flat = Fenwick::from_weights(&w);
             let sharded = ShardedFenwick::from_weights(&w);
             assert_eq!(sharded.total(), flat.total());
-            assert_eq!(sharded.len(), flat.len());
+            assert_eq!(sharded.len(), w.len());
             let total = flat.total();
             let step = (total / 4096).max(1);
             let mut target = 0;
@@ -457,7 +436,7 @@ mod tests {
         let mut rng_a = SimRng::seed_from_u64(21);
         let mut rng_b = SimRng::seed_from_u64(21);
         for _ in 0..5000 {
-            assert_eq!(flat.sample(&mut rng_a), sharded.sample(&mut rng_b));
+            assert_eq!(flat.draw(&mut rng_a), sharded.sample(&mut rng_b));
         }
     }
 

@@ -3,7 +3,7 @@
 //! For protocols whose state space is a small finite set, the configuration
 //! (one counter per state) is a sufficient statistic: the scheduler never
 //! needs to know *which* agent holds a state, only *how many* do. The
-//! engines in this module exploit that in two stages.
+//! engine in this module exploits that in two stages.
 //!
 //! **Collision-free batches.** Instead of touching two agents per step, the
 //! engine draws the number of consecutive interactions in which no agent
@@ -25,22 +25,22 @@
 //! interactions costs `O(S·√ℓ + S log S)` RNG-and-memory work in the worst
 //! case, `o(ℓ)` for `ℓ ≫ S²`.
 //!
-//! The older per-pair engine ([`PairwiseBatchSimulation`]) samples and
-//! applies every interaction of the batch individually; it is retained as
-//! the semantic reference for A/B distribution tests and benchmarks.
+//! The reference for it is the sequential engine ([`crate::Simulation`]
+//! over [`crate::SeqTable`]), which draws every interaction's ordered pair
+//! exactly as the model does.
 //!
 //! # Accuracy
 //!
-//! Both engines sample batch participants *with replacement* from the
+//! The engine samples batch participants *with replacement* from the
 //! current configuration, which deviates from the exact
 //! without-replacement hypergeometric law by `O(ℓ²/n)` total-variation
 //! distance per batch — the standard trade-off in batched
 //! population-protocol simulation. With `ℓ = Θ(√n)` the per-batch drift is
-//! `O(1)` interactions' worth and the engines' observable statistics agree
+//! `O(1)` interactions' worth and the engine's observable statistics agree
 //! with the sequential scheduler; the consistency tests in this module and
 //! in `tests/engine_equivalence.rs` bound the divergence. A second,
-//! strictly rarer effect exists only in the multinomial engine: a
-//! with-replacement tally can overdraw a nearly-empty state; such
+//! strictly rarer effect: a with-replacement tally can overdraw a
+//! nearly-empty state; such
 //! infeasible tallies (probability `O(ℓ²/n)` per batch) are rejected and
 //! redrawn, see [`BatchSimulation::step_batch`].
 //!
@@ -60,18 +60,16 @@
 pub mod birthday;
 pub mod fenwick;
 pub mod multinomial;
-pub mod pairwise;
 pub(crate) mod sim;
 pub(crate) mod tally;
 
-pub use fenwick::{Fenwick, ShardedFenwick, StateSampler};
-pub use pairwise::PairwiseBatchSimulation;
+pub use fenwick::ShardedFenwick;
 pub use sim::BatchSimulation;
 
 use crate::protocol::SimRng;
 
 /// A population protocol presented as a transition table over a small state
-/// space `0..states()`, runnable on the configuration-space engines.
+/// space `0..states()`, runnable on the configuration-space engine.
 ///
 /// The `Send + Sync + 'static` supertraits let a simulation move onto a
 /// service thread and run inside [`run_trials`](crate::ensemble::run_trials)

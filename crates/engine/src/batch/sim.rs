@@ -10,12 +10,13 @@ use crate::batch::multinomial::{binomial, multinomial_into, multinomial_weighted
 use crate::batch::tally::{self, run_subtree, TallyCtx, TallyScratch, TallySpec};
 use crate::batch::TableProtocol;
 use crate::churn::ChurnProcess;
+use crate::drive::{self, Clock, Stepper};
 use crate::fault::{
-    resolve_forgery, strike_counts, Adversary, ChurnTarget, FaultPlan, FaultRecord, LieTarget,
+    resolve_forgery, strike_counts, Adversary, ChurnTarget, FaultAction, FaultPlan, LieTarget,
     OpinionCensus, Scheduler,
 };
 use crate::protocol::SimRng;
-use crate::result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};
+use crate::result::{RunNote, RunOptions, RunResult};
 
 /// Floor on the multiplicity below which responders are always drawn one
 /// by one through the Fenwick sampler. The full rule is adaptive: a
@@ -36,10 +37,9 @@ const MAX_TALLY_RETRIES: u32 = 8;
 ///
 /// Per-interaction cost is sub-constant for long batches: a batch of `ℓ`
 /// interactions costs `O(S·√ℓ)` binomial work plus `O(log S)` per
-/// *distinct* transition applied, instead of `O(S)` per interaction in the
-/// seed engine (see [`crate::batch`] module docs for the accounting, and
-/// [`PairwiseBatchSimulation`](crate::batch::PairwiseBatchSimulation) for
-/// the retained reference implementation).
+/// *distinct* transition applied, instead of `O(1)` per interaction on
+/// the sequential engine (see [`crate::batch`] module docs for the
+/// accounting).
 #[derive(Debug)]
 pub struct BatchSimulation<P: TableProtocol> {
     /// Shared by clones, so cloning a simulation needs no `P: Clone`.
@@ -51,15 +51,10 @@ pub struct BatchSimulation<P: TableProtocol> {
     tree: ShardedFenwick,
     n: u64,
     rng: SimRng,
-    interactions: u64,
+    clock: Clock,
     /// Batches applied so far (a process-local throughput metric; not part
     /// of the checkpointed state).
     batches: u64,
-    /// Parallel time accumulated before `interactions_base` — non-zero only
-    /// after churn changed the population size.
-    time_base: f64,
-    /// Interactions already folded into `time_base`.
-    interactions_base: u64,
     deterministic: bool,
     // Scratch buffers reused across batches.
     initiators: Vec<(usize, u64)>,
@@ -93,10 +88,8 @@ impl<P: TableProtocol> Clone for BatchSimulation<P> {
             tree: self.tree.clone(),
             n: self.n,
             rng: self.rng.clone(),
-            interactions: self.interactions,
+            clock: self.clock,
             batches: self.batches,
-            time_base: self.time_base,
-            interactions_base: self.interactions_base,
             deterministic: self.deterministic,
             initiators: self.initiators.clone(),
             responders: self.responders.clone(),
@@ -135,10 +128,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
             tree,
             n,
             rng: SimRng::seed_from_u64(seed),
-            interactions: 0,
+            clock: Clock::default(),
             batches: 0,
-            time_base: 0.0,
-            interactions_base: 0,
             deterministic,
             initiators: Vec::new(),
             responders: Vec::new(),
@@ -199,17 +190,6 @@ impl<P: TableProtocol> BatchSimulation<P> {
         resolve_forgery(protocol, adv.forgery(&OpinionCensus::default())).map(|t| (frac, t))
     }
 
-    /// The live opinion tally in `O(S)`, for adaptive forgeries and
-    /// targeted churn.
-    fn opinion_census(&self) -> OpinionCensus {
-        OpinionCensus::from_tallies(
-            self.counts
-                .iter()
-                .enumerate()
-                .filter_map(|(s, &c)| self.protocol.opinion(s).map(|op| (op, c))),
-        )
-    }
-
     /// Re-aim an adaptive adversary's lie snapshot at the live census —
     /// `O(S)` once per batch, so the `n = 10⁸` throughput is untouched.
     /// Draws no randomness, preserving the replay contract; a no-op when
@@ -248,7 +228,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
 
     /// Interactions simulated so far.
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        self.clock.interactions
     }
 
     /// Batches applied so far. A process-local metric (service dashboards,
@@ -275,7 +255,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
         if count == 0 {
             return;
         }
-        self.fold_clock();
+        self.clock.fold(self.n);
         self.counts[state] += count;
         self.n += count;
         self.tree.rebuild(&self.counts);
@@ -285,7 +265,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// folded over population changes (churn) so the clock stays
     /// continuous.
     pub fn parallel_time(&self) -> f64 {
-        self.time_base + (self.interactions - self.interactions_base) as f64 / self.n as f64
+        self.clock.parallel_time(self.n)
     }
 
     /// The raw RNG state, for checkpointing.
@@ -296,7 +276,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// The clock's checkpoint triple: `(interactions, interactions_base,
     /// time_base)`.
     pub fn clock_parts(&self) -> (u64, u64, f64) {
-        (self.interactions, self.interactions_base, self.time_base)
+        self.clock.parts()
     }
 
     /// Restore RNG and clock from a checkpoint, making subsequent batches
@@ -308,17 +288,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
         time_base: f64,
         rng: [u64; 4],
     ) {
-        self.interactions = interactions;
-        self.interactions_base = interactions_base;
-        self.time_base = time_base;
+        self.clock = Clock::restore(interactions, interactions_base, time_base);
         self.rng = SimRng::from_state(rng);
-    }
-
-    /// Fold the elapsed clock into `time_base`; must be called *before*
-    /// the population size changes.
-    fn fold_clock(&mut self) {
-        self.time_base = self.parallel_time();
-        self.interactions_base = self.interactions;
     }
 
     /// Advance one collision-free batch; returns the number of interactions
@@ -340,7 +311,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             None => {
                 for _ in 0..MAX_TALLY_RETRIES {
                     if self.try_tally(len) {
-                        self.interactions += len;
+                        self.clock.interactions += len;
                         return;
                     }
                 }
@@ -349,14 +320,14 @@ impl<P: TableProtocol> BatchSimulation<P> {
             Some(sched) => {
                 for _ in 0..MAX_TALLY_RETRIES {
                     if self.try_tally_scheduled(len, &*sched) {
-                        self.interactions += len;
+                        self.clock.interactions += len;
                         return;
                     }
                 }
                 self.apply_pairwise_scheduled(len, &*sched);
             }
         }
-        self.interactions += len;
+        self.clock.interactions += len;
     }
 
     /// One tally attempt. Returns `false` (leaving the configuration
@@ -741,17 +712,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// `opts.check_every` is not used. The final batch is truncated to the
     /// interaction budget.
     pub fn run(&mut self, opts: &RunOptions) -> RunResult {
-        loop {
-            if let Some(output) = self.protocol.output(&self.counts) {
-                return self.finish(RunStatus::Converged, Some(output));
-            }
-            if self.interactions >= opts.max_interactions {
-                return self.finish(RunStatus::Exhausted, None);
-            }
-            let len = draw_batch_len(&mut self.rng, self.n)
-                .min(opts.max_interactions - self.interactions);
-            self.apply_batch(len);
-        }
+        drive::run(self, opts)
     }
 
     /// Run under a fault plan: batches are split at each hook's parallel
@@ -762,84 +723,22 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// [`Simulation::run_faulted`](crate::Simulation::run_faulted); an
     /// empty plan replays [`run`](Self::run) exactly.
     pub fn run_faulted(&mut self, opts: &RunOptions, plan: &FaultPlan) -> RunResult {
-        if plan.is_empty() {
-            return self.run(opts);
-        }
-        let initial = self.counts.clone();
-        let mut records: Vec<FaultRecord> = Vec::new();
-        let mut open: Option<usize> = None;
-
-        for (at, action, label) in plan.schedule() {
-            let target = (at.max(0.0) * self.n as f64).ceil() as u64;
-            if target > opts.max_interactions {
-                break; // scheduled beyond the budget: never fires
-            }
-            while self.interactions < target {
-                if let (Some(k), Some(output)) = (open, self.protocol.output(&self.counts)) {
-                    records[k].recovery_time = self.parallel_time() - records[k].at;
-                    records[k].output_after = Some(output);
-                    open = None;
-                }
-                let len = draw_batch_len(&mut self.rng, self.n).min(target - self.interactions);
-                self.apply_batch(len);
-            }
-            let output_before = self.protocol.output(&self.counts);
-            if let (Some(k), Some(output)) = (open, output_before) {
-                records[k].recovery_time = self.parallel_time() - records[k].at;
-                records[k].output_after = Some(output);
-            }
-            strike_counts(
-                &*self.protocol,
-                &mut self.counts,
-                &initial,
-                &action,
-                &mut self.rng,
-            );
-            self.tree.rebuild(&self.counts);
-            records.push(FaultRecord {
-                at: self.parallel_time(),
-                hook: label,
-                output_before,
-                output_after: None,
-                recovery_time: f64::NAN,
-            });
-            open = Some(records.len() - 1);
-        }
-
-        loop {
-            if let Some(output) = self.protocol.output(&self.counts) {
-                if let Some(k) = open.take() {
-                    records[k].recovery_time = self.parallel_time() - records[k].at;
-                    records[k].output_after = Some(output);
-                }
-                let mut r = self.finish(RunStatus::Converged, Some(output));
-                r.faults = records;
-                return r;
-            }
-            if self.interactions >= opts.max_interactions {
-                let mut r = self.finish(RunStatus::Exhausted, None);
-                r.faults = records;
-                return r;
-            }
-            let len = draw_batch_len(&mut self.rng, self.n)
-                .min(opts.max_interactions - self.interactions);
-            self.apply_batch(len);
-        }
+        drive::run_faulted(self, opts, plan)
     }
 
     /// Run under a steady-state churn process until `stop_at` parallel
     /// time: after every batch, `Poisson`-distributed joins (drawn from the
     /// `initial` distribution) and leaves (multinomial thinning of the live
     /// counts, never below two agents) are applied and the Fenwick mirror
-    /// rebuilt; a [`ChurnSample`] is recorded each time the clock crosses a
-    /// multiple of the process's sampling period.
+    /// rebuilt; a [`ChurnSample`](crate::ChurnSample) is recorded each
+    /// time the clock crosses a multiple of the process's sampling period.
     ///
     /// Convergence does not stop a churned run; the status is
-    /// [`RunStatus::Converged`] iff the output predicate fires at
-    /// `stop_at`, and the series carries the history. Batches are never
-    /// truncated at `stop_at` (the run halts at the first batch boundary
-    /// past it), which keeps checkpointed and uninterrupted runs on the
-    /// same RNG trajectory.
+    /// [`RunStatus::Converged`](crate::RunStatus::Converged) iff the
+    /// output predicate fires at `stop_at`, and the series carries the
+    /// history. Batches are never truncated at `stop_at` (the run halts at
+    /// the first batch boundary past it), which keeps checkpointed and
+    /// uninterrupted runs on the same RNG trajectory.
     ///
     /// # Panics
     ///
@@ -856,54 +755,65 @@ impl<P: TableProtocol> BatchSimulation<P> {
             self.counts.len(),
             "join distribution must cover the state space"
         );
-        let initial_total: u64 = initial.iter().sum();
-        assert!(initial_total > 0, "churn needs a join distribution");
-        let mut next_mark = churn.next_mark(self.parallel_time());
-        let mut series: Vec<ChurnSample> = Vec::new();
-        while self.parallel_time() < stop_at && self.interactions < opts.max_interactions {
-            let len = draw_batch_len(&mut self.rng, self.n)
-                .min(opts.max_interactions - self.interactions);
-            self.apply_batch(len);
-            self.apply_churn_events(churn, initial, initial_total, len);
-            let clock = self.parallel_time();
-            if clock >= next_mark {
-                series.push(self.churn_sample());
-                next_mark = churn.next_mark(clock);
-            }
-        }
-        let output = self.protocol.output(&self.counts);
-        let status = if output.is_some() {
-            RunStatus::Converged
-        } else {
-            RunStatus::Exhausted
-        };
-        let mut r = self.finish(status, output);
-        r.series = series;
-        r
+        assert!(
+            initial.iter().sum::<u64>() > 0,
+            "churn needs a join distribution"
+        );
+        drive::run_churned(self, opts, churn, initial, stop_at)
+    }
+}
+
+impl<P: TableProtocol> Stepper for BatchSimulation<P> {
+    type Config = [u64];
+
+    /// One collision-free batch.
+    fn advance(&mut self, _opts: &RunOptions, limit: u64) -> u64 {
+        let len = draw_batch_len(&mut self.rng, self.n).min(limit - self.clock.interactions);
+        self.apply_batch(len);
+        len
     }
 
-    /// Poisson join/leave events covering a batch of `len` interactions,
-    /// applied to the counts vector in `O(S)`. The clock folds before the
-    /// population changes; leaves are per-cell capped so counts never go
-    /// negative (the multinomial thinning samples with replacement).
-    ///
-    /// Uniform-target departures keep the exact RNG draw sequence from
-    /// before targeting existed; targeted departures thin the
-    /// census-chosen opinion class first (a class-masked multinomial) and
-    /// any remainder falls back to the uniform thinning.
-    fn apply_churn_events(
-        &mut self,
-        churn: &ChurnProcess,
-        initial: &[u64],
-        initial_total: u64,
-        len: u64,
-    ) {
+    fn output(&self) -> Option<u32> {
+        self.protocol.output(&self.counts)
+    }
+
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    fn population(&self) -> u64 {
+        self.n
+    }
+
+    fn config(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// `O(S)` binomial thinning of the counts, then a Fenwick rebuild.
+    fn strike(&mut self, initial: &[u64], action: &FaultAction) {
+        strike_counts(
+            &*self.protocol,
+            &mut self.counts,
+            initial,
+            action,
+            &mut self.rng,
+        );
+        self.tree.rebuild(&self.counts);
+    }
+
+    /// Applied to the counts vector in `O(S)`. Leaves are per-cell capped
+    /// so counts never go negative (the multinomial thinning samples with
+    /// replacement). Uniform-target departures keep the exact RNG draw
+    /// sequence from before targeting existed; targeted departures thin
+    /// the census-chosen opinion class first (a class-masked multinomial)
+    /// and any remainder falls back to the uniform thinning.
+    fn churn_events(&mut self, churn: &ChurnProcess, initial: &[u64], len: u64) {
         let (joins, leaves) = churn.draw_events(&mut self.rng, len);
         let leaves = leaves.min(self.n - 2);
         if joins == 0 && leaves == 0 {
             return;
         }
-        self.fold_clock();
+        self.clock.fold(self.n);
         let mut out = Vec::new();
         let mut remaining = leaves;
         if remaining > 0 && churn.target() != ChurnTarget::Uniform {
@@ -949,6 +859,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             }
         }
         if joins > 0 {
+            let initial_total: u64 = initial.iter().sum();
             multinomial_into(&mut self.rng, joins, initial, initial_total, &mut out);
             for (s, c) in out {
                 self.counts[s] += c;
@@ -958,38 +869,21 @@ impl<P: TableProtocol> BatchSimulation<P> {
         self.tree.rebuild(&self.counts);
     }
 
-    /// The health sample `run_churned` records at each sampling mark.
-    fn churn_sample(&self) -> ChurnSample {
-        let mut tally: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for (s, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                if let Some(op) = self.protocol.opinion(s) {
-                    *tally.entry(op).or_insert(0) += c;
-                }
-            }
-        }
-        let top = tally.values().copied().max().unwrap_or(0);
-        ChurnSample {
-            t: self.parallel_time(),
-            population: self.n,
-            plurality_frac: top as f64 / self.n as f64,
-            output: self.protocol.output(&self.counts),
-        }
+    /// Folds the counts vector in `O(S)`.
+    fn opinion_census(&self) -> OpinionCensus {
+        OpinionCensus::from_tallies(
+            self.counts
+                .iter()
+                .enumerate()
+                .filter_map(|(s, &c)| self.protocol.opinion(s).map(|op| (op, c))),
+        )
     }
 
-    fn finish(&self, status: RunStatus, output: Option<u32>) -> RunResult {
-        RunResult {
-            status,
-            output,
-            interactions: self.interactions,
-            parallel_time: self.parallel_time(),
-            faults: Vec::new(),
-            series: Vec::new(),
-            notes: if self.scheduler_saturated {
-                vec![RunNote::SchedulerSaturated]
-            } else {
-                Vec::new()
-            },
+    fn notes(&self) -> Vec<RunNote> {
+        if self.scheduler_saturated {
+            vec![RunNote::SchedulerSaturated]
+        } else {
+            Vec::new()
         }
     }
 }
@@ -997,6 +891,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::result::RunStatus;
 
     /// One-way epidemic as a table protocol: state 1 infects state 0.
     pub(crate) struct Epi;

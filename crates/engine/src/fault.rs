@@ -12,7 +12,7 @@
 //!   agents, a [`Replacement`]); concrete hooks are [`Corrupt`],
 //!   [`Inject`] and [`Churn`]. A [`FaultPlan`] composes any number of
 //!   hooks.
-//! * [`Scheduler`] — a pair-selection bias honored by all three engines:
+//! * [`Scheduler`] — a pair-selection bias honored by both engines:
 //!   per-opinion participation weights (the opinion-starving adversary)
 //!   and assortativity (the pair-biased, like-with-like adversary).
 //!   [`UniformScheduler`], [`StarveScheduler`] and [`PairBiasScheduler`]
@@ -65,7 +65,7 @@ pub struct FaultAction {
 /// Hooks are deliberately *declarative* (a time plus a [`FaultAction`])
 /// rather than closures over engine state: the same hook must apply to a
 /// per-agent state vector (sequential engine) and to a counts vector
-/// (batched engines) without knowing which it runs on.
+/// (batched engine) without knowing which it runs on.
 pub trait FaultHook: Send + Sync + fmt::Debug {
     /// Parallel time at which the hook fires.
     fn at(&self) -> f64;
@@ -269,7 +269,7 @@ pub const SCHEDULER_RETRIES: u32 = 16;
 /// [`RunNote::SchedulerSaturated`](crate::RunNote).
 pub const SCHEDULER_SATURATION_STREAK: u32 = 3;
 
-/// A pair-selection bias, honored by all three engines.
+/// A pair-selection bias, honored by both engines.
 ///
 /// Schedulers are expressed over *opinions* (via
 /// [`Protocol::opinion_of`](crate::Protocol::opinion_of) /
@@ -280,7 +280,7 @@ pub const SCHEDULER_SATURATION_STREAK: u32 = 3;
 ///   probability, in `(0, 1]`, that an agent advocating a given opinion is
 ///   drawn as a participant (1 everywhere = the uniform scheduler). The
 ///   sequential engine realizes this by bounded rejection sampling, the
-///   batched engines by weighted multinomial tallies.
+///   batched engine by weighted multinomial tallies.
 /// * [`assortativity`](Scheduler::assortativity) — the probability that
 ///   the responder is forced to share the initiator's opinion
 ///   (like-with-like pairing), starving the cross-opinion interactions
@@ -370,8 +370,8 @@ impl Scheduler for PairBiasScheduler {
 /// Built from `(opinion, support)` pairs by the engines — the sequential
 /// engine tallies its state vector through
 /// [`Protocol::opinion_of`](crate::Protocol::opinion_of), the batched
-/// engines fold their counts vector through [`TableProtocol::opinion`] —
-/// so one census type serves all three. Helper/undecided states (no
+/// engine folds its counts vector through [`TableProtocol::opinion`] —
+/// so one census type serves both. Helper/undecided states (no
 /// opinion) are not represented.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpinionCensus {
@@ -463,7 +463,7 @@ pub enum Forgery {
 /// state; the honest partner transitions against the forgery. When both
 /// participants lie, neither learns anything and the interaction is a
 /// no-op. The sequential engine flips a per-agent coin for each
-/// participant; the batched engines realize the same distribution through
+/// participant; the batched engine realizes the same distribution through
 /// an `O(S²)`-bounded binomial perturbation of the multinomial tally, so
 /// the `n = 10⁸` fast path stays fast.
 ///
@@ -1002,9 +1002,9 @@ impl FromStr for SchedulerSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Configuration-level strike (shared by the batched engines).
+// Configuration-level strike (the batched engine).
 
-/// A [`Forgery`] resolved to the batched engines' state space: what state
+/// A [`Forgery`] resolved to the batched engine's state space: what state
 /// index (or pair of indices) liars report this batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LieTarget {

@@ -55,9 +55,8 @@
 //!
 //! * [`Protocol`] — the transition-function interface,
 //! * [`Simulation`] — the sequential scheduler with convergence detection,
-//! * [`batch`] — the configuration-space engines:
-//!   [`BatchSimulation`] (multinomial tallies) and
-//!   [`PairwiseBatchSimulation`] (the per-pair reference),
+//! * [`batch`] — the configuration-space engine [`BatchSimulation`]
+//!   (multinomial tallies),
 //! * [`Census`] — exact tracking of the set of distinct agent states visited
 //!   (used to validate state-space bounds such as `O(k + log n)`),
 //! * [`ensemble`] — embarrassingly-parallel execution of independent trials,
@@ -95,6 +94,7 @@ pub mod batch;
 pub mod census;
 pub mod checkpoint;
 pub mod churn;
+mod drive;
 pub mod ensemble;
 pub mod fault;
 pub mod pair;
@@ -105,9 +105,7 @@ pub mod segment;
 pub mod sim;
 pub mod table_seq;
 
-pub use batch::{
-    BatchSimulation, Fenwick, PairwiseBatchSimulation, ShardedFenwick, StateSampler, TableProtocol,
-};
+pub use batch::{BatchSimulation, ShardedFenwick, TableProtocol};
 pub use census::Census;
 pub use checkpoint::Checkpoint;
 pub use churn::ChurnProcess;

@@ -1,6 +1,6 @@
 //! Run a [`TableProtocol`] on the sequential per-agent engine.
 //!
-//! The batched configuration-space engines are the fast path for table
+//! The batched configuration-space engine is the fast path for table
 //! protocols, but two situations still need the sequential scheduler:
 //!
 //! * **A/B validation** — the `--engine seq` flag of the experiment driver
@@ -23,7 +23,7 @@ use crate::protocol::{Protocol, SimRng};
 ///
 /// Agent states are the table's state indices. The convergence predicate
 /// tallies the configuration and defers to [`TableProtocol::output`], so
-/// the decision matches the batched engines exactly.
+/// the decision matches the batched engine exactly.
 #[derive(Debug, Clone)]
 pub struct SeqTable<P: TableProtocol> {
     table: P,

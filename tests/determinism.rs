@@ -82,11 +82,6 @@ fn empty_fault_plan_replays_the_unfaulted_run() {
     let faulted = BatchSimulation::new(ThreeState, init.clone(), 11).run_faulted(&opts, &plan);
     assert_eq!(trace(&plain), trace(&faulted), "batch");
 
-    let plain = PairwiseBatchSimulation::new(ThreeState, init.clone(), 11).run(&opts);
-    let faulted =
-        PairwiseBatchSimulation::new(ThreeState, init.clone(), 11).run_faulted(&opts, &plan);
-    assert_eq!(trace(&plain), trace(&faulted), "pairwise");
-
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let plain = Simulation::new(SeqTable::new(ThreeState), states, 11).run(&opts);
     let states = SeqTable::<ThreeState>::initial_states(&init);

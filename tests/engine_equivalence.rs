@@ -1,10 +1,9 @@
-//! Distribution-level consistency between the three schedulers.
+//! Distribution-level consistency between the two engines.
 //!
-//! The sequential per-agent engine is the ground truth; the per-pair
-//! configuration-space engine and the multinomial-tally engine must
-//! reproduce its *observable statistics* (they are not trajectory-level
-//! equivalent: both batch engines sample participants with replacement,
-//! an `O(ℓ²/n)` per-batch approximation). For 3-state majority and USD,
+//! The sequential per-agent engine is the ground truth; the
+//! multinomial-tally engine must reproduce its *observable statistics*
+//! (they are not trajectory-level equivalent: the batched engine samples
+//! participants with replacement, an `O(ℓ²/n)` per-batch approximation). For 3-state majority and USD,
 //! at two population sizes each, we compare the median and IQR of the
 //! parallel convergence time over a seed ensemble: medians must agree
 //! within 15% (the workspace-wide tolerance) and spreads must stay within
@@ -12,8 +11,7 @@
 
 use exact_plurality::baselines::{Usd, UsdTable};
 use exact_plurality::engine::{
-    BatchSimulation, FaultPlan, FaultSpec, PairwiseBatchSimulation, Protocol, RunOptions,
-    RunStatus, Simulation,
+    BatchSimulation, FaultPlan, FaultSpec, Protocol, RunOptions, RunStatus, Simulation,
 };
 use exact_plurality::majority::ThreeState;
 
@@ -94,17 +92,6 @@ fn three_state_majority_engines_agree() {
             max_interactions: n * 200_000,
             check_every: 0,
         };
-        let pairwise = median_iqr(
-            (0..TRIALS)
-                .map(|i| {
-                    let mut sim =
-                        PairwiseBatchSimulation::new(ThreeState, majority_counts(n), 2000 + i);
-                    let r = sim.run(&opts);
-                    assert_eq!(r.status, RunStatus::Converged);
-                    r.parallel_time
-                })
-                .collect(),
-        );
         let multinomial = median_iqr(
             (0..TRIALS)
                 .map(|i| {
@@ -116,13 +103,7 @@ fn three_state_majority_engines_agree() {
                 .collect(),
         );
 
-        assert_consistent(&format!("majority3 pairwise n={n}"), seq, pairwise);
         assert_consistent(&format!("majority3 multinomial n={n}"), seq, multinomial);
-        assert_consistent(
-            &format!("majority3 multinomial-vs-pairwise n={n}"),
-            pairwise,
-            multinomial,
-        );
     }
 }
 
@@ -130,8 +111,8 @@ fn three_state_majority_engines_agree() {
 fn fault_recovery_times_agree_across_engines() {
     // The fault layer must not break cross-engine consistency: the same
     // strike (10% of a converged 3-state population scrambled at parallel
-    // time 150) must yield statistically consistent recovery times on all
-    // three engines, within the workspace tolerance.
+    // time 150) must yield statistically consistent recovery times on both
+    // engines, within the workspace tolerance.
     let n = 20_000u64;
     let plan =
         FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@150:0.1").expect("spec parses"));
@@ -163,15 +144,6 @@ fn fault_recovery_times_agree_across_engines() {
         max_interactions: n * 200_000,
         check_every: 0,
     };
-    let pairwise = median_iqr(
-        (0..TRIALS)
-            .map(|i| {
-                let mut sim =
-                    PairwiseBatchSimulation::new(ThreeState, majority_counts(n), 7000 + i);
-                recovery(&sim.run_faulted(&opts, &plan), "pairwise", i)
-            })
-            .collect(),
-    );
     let multinomial = median_iqr(
         (0..TRIALS)
             .map(|i| {
@@ -181,9 +153,7 @@ fn fault_recovery_times_agree_across_engines() {
             .collect(),
     );
 
-    assert_consistent("recovery pairwise", seq, pairwise);
     assert_consistent("recovery multinomial", seq, multinomial);
-    assert_consistent("recovery multinomial-vs-pairwise", pairwise, multinomial);
 }
 
 #[test]
@@ -204,16 +174,6 @@ fn usd_engines_agree() {
             max_interactions: (n as u64) * 200_000,
             check_every: 0,
         };
-        let pairwise = median_iqr(
-            (0..TRIALS)
-                .map(|i| {
-                    let mut sim = PairwiseBatchSimulation::new(table(), init.clone(), 4000 + i);
-                    let r = sim.run(&opts);
-                    assert_eq!(r.status, RunStatus::Converged);
-                    r.parallel_time
-                })
-                .collect(),
-        );
         let multinomial = median_iqr(
             (0..TRIALS)
                 .map(|i| {
@@ -225,12 +185,6 @@ fn usd_engines_agree() {
                 .collect(),
         );
 
-        assert_consistent(&format!("usd pairwise n={n}"), seq, pairwise);
         assert_consistent(&format!("usd multinomial n={n}"), seq, multinomial);
-        assert_consistent(
-            &format!("usd multinomial-vs-pairwise n={n}"),
-            pairwise,
-            multinomial,
-        );
     }
 }

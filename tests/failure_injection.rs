@@ -3,7 +3,7 @@
 //! adversarial schedulers) must degrade *gracefully* — wrong outputs or
 //! exhausted budgets are acceptable, panics, livelocks past the budget, or
 //! corrupted convergence (mixed winner reports) are not. The fault-layer
-//! tests cover all three engines.
+//! tests cover both engines.
 
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
@@ -80,8 +80,8 @@ fn unordered_with_skimpy_leader_patience_terminates() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-layer injection: the same "degrade, never panic" contract on all
-// three engines, under a hostile plan (half the population corrupted, then
+// Fault-layer injection: the same "degrade, never panic" contract on both
+// engines, under a hostile plan (half the population corrupted, then
 // churned, then swamped with minority supporters) and an adversarial
 // scheduler on top.
 
@@ -109,15 +109,6 @@ fn hostile_faults_degrade_never_panic_on_batch_engine() {
     let sched: SchedulerSpec = "starve:1:0.25".parse().expect("scheduler parses");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let mut sim = BatchSimulation::new(ThreeState, vec![0, 700, 300], 3);
-    sim.set_scheduler(sched.build());
-    assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
-}
-
-#[test]
-fn hostile_faults_degrade_never_panic_on_pairwise_engine() {
-    let sched: SchedulerSpec = "pairbias:0.5".parse().expect("scheduler parses");
-    let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
-    let mut sim = PairwiseBatchSimulation::new(ThreeState, vec![0, 700, 300], 3);
     sim.set_scheduler(sched.build());
     assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
 }

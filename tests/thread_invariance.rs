@@ -81,19 +81,6 @@ fn adversarial_runs_are_thread_count_invariant() {
     });
 }
 
-#[test]
-fn pairwise_engine_accepts_the_knob_as_a_no_op() {
-    // The per-pair reference engine is serial; `set_threads` exists for
-    // interface parity and must not perturb its stream.
-    let opts = RunOptions::with_parallel_time_budget(100_000, 50.0);
-    let run = |threads: usize| {
-        let mut sim = PairwiseBatchSimulation::new(ThreeState, vec![0, 60_000, 40_000], 7004);
-        sim.set_threads(threads);
-        trace(&sim.run(&opts))
-    };
-    assert_eq!(run(1), run(8));
-}
-
 fn churned_runner(seed: u64, i: usize) -> SegmentRunner<ThreeState> {
     let spec: ChurnSpec = "churn:0.002:0.002".parse().expect("churn spec");
     SegmentRunner::new(
