@@ -11,8 +11,8 @@
 
 use plurality_core::Tuning;
 use pp_engine::{
-    AdversarySpec, BatchSimulation, Census, FaultPlan, FaultSpec, RunOptions, RunStatus,
-    SchedulerSpec, SeqTable, Simulation, TableProtocol,
+    AdversarySpec, BatchSimulation, Census, FaultSpec, RunOptions, RunStatus, SchedulerSpec,
+    SeqTable, Simulation, TableProtocol,
 };
 use pp_workloads::Counts;
 
@@ -156,33 +156,32 @@ where
         let n: u64 = init.iter().sum();
         let expected = u32::from(spec.counts.plurality());
         let opts = RunOptions::with_parallel_time_budget(n as usize, spec.budget);
-        let plan = FaultPlan::from_specs(&spec.faults);
         let (result, census) = match engine {
             Engine::Batch => {
                 let mut sim = BatchSimulation::new(table, init, seed);
                 if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched.build());
+                    sim.set_scheduler(sched);
                 }
                 if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv.build());
+                    sim.set_adversary(adv);
                 }
-                (sim.run_faulted(&opts, &plan), None)
+                (sim.run_faulted(&opts, &spec.faults), None)
             }
             Engine::Seq => {
                 let states = SeqTable::<P>::initial_states(&init);
                 let mut sim = Simulation::new(SeqTable::new(table), states, seed);
                 if let Some(sched) = spec.scheduler {
-                    sim.set_scheduler(sched.build());
+                    sim.set_scheduler(sched);
                 }
                 if let Some(adv) = spec.adversary {
-                    sim.set_adversary(adv.build());
+                    sim.set_adversary(adv);
                 }
                 if spec.census {
                     let mut c = Census::new();
                     let r = sim.run_with_census(&opts, &mut c);
                     (r, Some(c.len()))
                 } else {
-                    (sim.run_faulted(&opts, &plan), None)
+                    (sim.run_faulted(&opts, &spec.faults), None)
                 }
             }
         };

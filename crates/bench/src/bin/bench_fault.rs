@@ -5,7 +5,7 @@
 //! Five paths on 3-state majority at `n ∈ {10⁴, 10⁶, 10⁸}`:
 //!
 //! * `clean_run` — `run()`, no fault machinery at all,
-//! * `empty_plan` — `run_faulted()` with an empty [`FaultPlan`]; must be
+//! * `empty_plan` — `run_faulted()` with an empty fault list; must be
 //!   RNG-identical to `clean_run` (asserted per size, not just measured),
 //! * `active_churn` — `run_churned()` under the default symmetric 0.005
 //!   Poisson join/leave soak, sampling once per unit of parallel time,
@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use pp_engine::{AdversarySpec, BatchSimulation, ChurnProcess, ChurnSpec, FaultPlan, RunOptions};
+use pp_engine::{AdversarySpec, BatchSimulation, ChurnProcess, ChurnSpec, RunOptions};
 use pp_majority::ThreeState;
 
 /// Repeat `run` (a fresh fixed-budget simulation returning the seconds it
@@ -65,7 +65,7 @@ fn main() {
         let mut clean = BatchSimulation::new(ThreeState, counts(n), 42);
         clean.run(&opts(target));
         let mut faulted = BatchSimulation::new(ThreeState, counts(n), 42);
-        faulted.run_faulted(&opts(target), &FaultPlan::new());
+        faulted.run_faulted(&opts(target), &[]);
         assert_eq!(clean.counts(), faulted.counts(), "n={n}: counts diverged");
         assert_eq!(
             clean.rng_state(),
@@ -76,8 +76,7 @@ fn main() {
         adaptive0.set_adversary(
             "adaptive:0"
                 .parse::<AdversarySpec>()
-                .expect("adversary spec")
-                .build(),
+                .expect("adversary spec"),
         );
         adaptive0.run(&opts(target));
         assert_eq!(
@@ -124,7 +123,7 @@ fn main() {
                             sim.run(&opts(target));
                         }
                         1 => {
-                            sim.run_faulted(&opts(target), &FaultPlan::new());
+                            sim.run_faulted(&opts(target), &[]);
                         }
                         2 => {
                             sim.run_churned(&opts(target), &churn, &init, f64::MAX);
@@ -133,8 +132,7 @@ fn main() {
                             sim.set_adversary(
                                 "adaptive:0.05"
                                     .parse::<AdversarySpec>()
-                                    .expect("adversary spec")
-                                    .build(),
+                                    .expect("adversary spec"),
                             );
                             sim.run(&opts(target));
                         }

@@ -105,9 +105,10 @@ pub trait TableProtocol: Send + Sync + 'static {
     /// state `s`). Returning `Some(o)` stops the run with output `o`.
     fn output(&self, counts: &[u64]) -> Option<u32>;
 
-    /// The opinion an agent in state `s` advocates, if any — the hook
-    /// adversarial [`Scheduler`](crate::Scheduler)s bias on. `None` (the
-    /// default) marks undecided/helper states, treated uniformly.
+    /// The opinion an agent in state `s` advocates, if any — what
+    /// adversarial [`SchedulerSpec`](crate::SchedulerSpec)s bias on.
+    /// `None` (the default) marks undecided/helper states, treated
+    /// uniformly.
     fn opinion(&self, s: usize) -> Option<u32> {
         let _ = s;
         None

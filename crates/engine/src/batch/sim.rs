@@ -12,8 +12,8 @@ use crate::batch::TableProtocol;
 use crate::churn::ChurnProcess;
 use crate::drive::{self, Clock, Stepper};
 use crate::fault::{
-    resolve_forgery, strike_counts, Adversary, ChurnTarget, FaultAction, FaultPlan, LieTarget,
-    OpinionCensus, Scheduler,
+    resolve_forgery, strike_counts, AdversarySpec, ChurnTarget, FaultAction, FaultSpec, LieTarget,
+    OpinionCensus, SchedulerSpec,
 };
 use crate::protocol::SimRng;
 use crate::result::{RunNote, RunOptions, RunResult};
@@ -64,16 +64,16 @@ pub struct BatchSimulation<P: TableProtocol> {
     /// collision-free feasibility bound: a batch cannot use more agents of
     /// a state than exist).
     usage: Vec<u64>,
-    scheduler: Option<Arc<dyn Scheduler>>,
+    scheduler: Option<SchedulerSpec>,
     /// Adversary snapshot for the current batch: `(lie probability, what
     /// liars report)`. `None` when no adversary applies (also when the
     /// forged opinion has no state in this protocol's table: adversaries
     /// degrade, never panic).
     lie: Option<(f64, LieTarget)>,
     /// Retained only for *adaptive* adversaries, whose `lie` snapshot is
-    /// re-aimed at the live census before every batch; static adversaries
+    /// re-aimed at the live census before every batch; fixed liars
     /// resolve once at install and are not stored.
-    adversary: Option<Arc<dyn Adversary>>,
+    adversary: Option<AdversarySpec>,
     scheduler_saturated: bool,
     /// Subtree kernel scratch, reused across batches.
     scratch: TallyScratch,
@@ -95,9 +95,9 @@ impl<P: TableProtocol> Clone for BatchSimulation<P> {
             responders: self.responders.clone(),
             delta: self.delta.clone(),
             usage: self.usage.clone(),
-            scheduler: self.scheduler.clone(),
+            scheduler: self.scheduler,
             lie: self.lie,
-            adversary: self.adversary.clone(),
+            adversary: self.adversary,
             scheduler_saturated: self.scheduler_saturated,
             scratch: TallyScratch::default(),
         }
@@ -159,35 +159,33 @@ impl<P: TableProtocol> BatchSimulation<P> {
 
     /// Replace the uniform pair scheduler with an adversarial one. The
     /// uniform tally fast path is untouched when no scheduler is set.
-    pub fn set_scheduler(&mut self, scheduler: Arc<dyn Scheduler>) {
+    /// Any scheduler, [`SchedulerSpec::Uniform`] included, routes batches
+    /// through the weighted scheduled tally, whose RNG stream differs
+    /// from the unscheduled one.
+    pub fn set_scheduler(&mut self, scheduler: SchedulerSpec) {
         self.scheduler = Some(scheduler);
     }
 
     /// Install a Byzantine interaction adversary. The honest tally fast
     /// path (and its RNG stream) is untouched when none is set; a zero
     /// lying probability disables the adversary entirely, so `adaptive:0`
-    /// stays RNG-identical to the clean run.
-    pub fn set_adversary(&mut self, adversary: Arc<dyn Adversary>) {
-        if adversary.lie_frac() <= 0.0 {
+    /// stays RNG-identical to the clean run. A fixed forged opinion with
+    /// no state in the table disables the perturbation as well.
+    pub fn set_adversary(&mut self, adversary: AdversarySpec) {
+        let frac = adversary.lie_frac();
+        if frac <= 0.0 {
             return;
         }
-        if adversary.adaptive() {
+        if adversary.is_adaptive() {
             self.adversary = Some(adversary);
             self.refresh_lie();
         } else {
-            self.lie = Self::lie_snapshot(&*self.protocol, &*adversary);
+            self.lie = resolve_forgery(
+                &*self.protocol,
+                adversary.forgery(&OpinionCensus::default()),
+            )
+            .map(|t| (frac, t));
         }
-    }
-
-    /// Resolve a static adversary to the `(frac, lie target)` snapshot. A
-    /// fixed forged opinion with no state in the table, or a zero lying
-    /// probability, disables the perturbation entirely.
-    fn lie_snapshot(protocol: &P, adv: &dyn Adversary) -> Option<(f64, LieTarget)> {
-        let frac = adv.lie_frac();
-        if frac <= 0.0 {
-            return None;
-        }
-        resolve_forgery(protocol, adv.forgery(&OpinionCensus::default())).map(|t| (frac, t))
     }
 
     /// Re-aim an adaptive adversary's lie snapshot at the live census —
@@ -195,7 +193,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// Draws no randomness, preserving the replay contract; a no-op when
     /// no adaptive adversary is installed.
     fn refresh_lie(&mut self) {
-        let Some(adv) = self.adversary.clone() else {
+        let Some(adv) = self.adversary else {
             return;
         };
         self.lie = resolve_forgery(&*self.protocol, adv.forgery(&self.opinion_census()))
@@ -307,7 +305,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     fn apply_batch(&mut self, len: u64) {
         self.batches += 1;
         self.refresh_lie();
-        match self.scheduler.clone() {
+        match self.scheduler {
             None => {
                 for _ in 0..MAX_TALLY_RETRIES {
                     if self.try_tally(len) {
@@ -319,12 +317,12 @@ impl<P: TableProtocol> BatchSimulation<P> {
             }
             Some(sched) => {
                 for _ in 0..MAX_TALLY_RETRIES {
-                    if self.try_tally_scheduled(len, &*sched) {
+                    if self.try_tally_scheduled(len, sched) {
                         self.clock.interactions += len;
                         return;
                     }
                 }
-                self.apply_pairwise_scheduled(len, &*sched);
+                self.apply_pairwise_scheduled(len, sched);
             }
         }
         self.clock.interactions += len;
@@ -475,7 +473,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// share of the batch forces responders into the initiator's opinion
     /// class. Feasibility checking and application are shared with
     /// [`try_tally`](Self::try_tally).
-    fn try_tally_scheduled(&mut self, len: u64, sched: &dyn Scheduler) -> bool {
+    fn try_tally_scheduled(&mut self, len: u64, sched: SchedulerSpec) -> bool {
         self.delta.iter_mut().for_each(|d| *d = 0);
         self.usage.iter_mut().for_each(|u| *u = 0);
 
@@ -483,12 +481,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             .counts
             .iter()
             .enumerate()
-            .map(|(s, &c)| {
-                c as f64
-                    * sched
-                        .opinion_weight(self.protocol.opinion(s))
-                        .clamp(0.0, 1.0)
-            })
+            .map(|(s, &c)| c as f64 * sched.opinion_weight(self.protocol.opinion(s)))
             .collect();
         let total: f64 = weights.iter().sum();
         if total <= 0.0 {
@@ -498,7 +491,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             return self.try_tally(len);
         }
 
-        let assort = sched.assortativity().clamp(0.0, 1.0);
+        let assort = sched.assortativity();
         let forced = if assort > 0.0 {
             binomial(&mut self.rng, len, assort)
         } else {
@@ -625,8 +618,8 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// Weighted per-pair fallback for scheduled batches (the analogue of
     /// [`apply_pairwise`](Self::apply_pairwise)): every draw samples from
     /// the live weighted configuration, so no overdraw is possible.
-    fn apply_pairwise_scheduled(&mut self, len: u64, sched: &dyn Scheduler) {
-        let assort = sched.assortativity().clamp(0.0, 1.0);
+    fn apply_pairwise_scheduled(&mut self, len: u64, sched: SchedulerSpec) {
+        let assort = sched.assortativity();
         for _ in 0..len {
             let a = self.sample_state_weighted(sched);
             let mut b = if assort > 0.0 && self.rng.gen_bool(assort) {
@@ -645,17 +638,12 @@ impl<P: TableProtocol> BatchSimulation<P> {
 
     /// One weighted state draw (linear scan over `counts · weight`); falls
     /// back to the uniform Fenwick draw if every weight is zero.
-    fn sample_state_weighted(&mut self, sched: &dyn Scheduler) -> usize {
+    fn sample_state_weighted(&mut self, sched: SchedulerSpec) -> usize {
         let total: f64 = self
             .counts
             .iter()
             .enumerate()
-            .map(|(s, &c)| {
-                c as f64
-                    * sched
-                        .opinion_weight(self.protocol.opinion(s))
-                        .clamp(0.0, 1.0)
-            })
+            .map(|(s, &c)| c as f64 * sched.opinion_weight(self.protocol.opinion(s)))
             .sum();
         if total <= 0.0 {
             self.scheduler_saturated = true;
@@ -668,10 +656,7 @@ impl<P: TableProtocol> BatchSimulation<P> {
             .rposition(|&c| c > 0)
             .expect("population is non-empty");
         for s in 0..self.counts.len() {
-            let w = self.counts[s] as f64
-                * sched
-                    .opinion_weight(self.protocol.opinion(s))
-                    .clamp(0.0, 1.0);
+            let w = self.counts[s] as f64 * sched.opinion_weight(self.protocol.opinion(s));
             target -= w;
             if target < 0.0 && self.counts[s] > 0 {
                 return s;
@@ -712,18 +697,18 @@ impl<P: TableProtocol> BatchSimulation<P> {
     /// `opts.check_every` is not used. The final batch is truncated to the
     /// interaction budget.
     pub fn run(&mut self, opts: &RunOptions) -> RunResult {
-        drive::run(self, opts)
+        drive::run(self, opts, |_| {})
     }
 
-    /// Run under a fault plan: batches are split at each hook's parallel
-    /// time (the batch straddling an epoch is truncated to land exactly on
-    /// it), the strike is applied to the census between batches — `O(S)`
-    /// binomial thinning, so the `n = 10⁸` fast path stays fast — and the
-    /// Fenwick mirror is rebuilt. Recovery bookkeeping matches
+    /// Run under a list of faults: batches are split at each fault's
+    /// parallel time (the batch straddling an epoch is truncated to land
+    /// exactly on it), the strike is applied to the census between batches
+    /// — `O(S)` binomial thinning, so the `n = 10⁸` fast path stays fast —
+    /// and the Fenwick mirror is rebuilt. Recovery bookkeeping matches
     /// [`Simulation::run_faulted`](crate::Simulation::run_faulted); an
-    /// empty plan replays [`run`](Self::run) exactly.
-    pub fn run_faulted(&mut self, opts: &RunOptions, plan: &FaultPlan) -> RunResult {
-        drive::run_faulted(self, opts, plan)
+    /// empty list replays [`run`](Self::run) exactly.
+    pub fn run_faulted(&mut self, opts: &RunOptions, faults: &[FaultSpec]) -> RunResult {
+        drive::run_faulted(self, opts, faults)
     }
 
     /// Run under a steady-state churn process until `stop_at` parallel

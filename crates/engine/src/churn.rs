@@ -1,13 +1,13 @@
 //! Steady-state churn: a continuous Poisson join/leave process.
 //!
-//! Unlike the one-shot [`Churn`](crate::fault::Churn) epoch strike, a
-//! [`ChurnProcess`] runs *for the whole run*: after every engine stride or
-//! batch of `ℓ` interactions, `Poisson(join·ℓ)` fresh agents drawn from
-//! the initial workload join and `Poisson(leave·ℓ)` uniformly random
-//! agents leave (never below two agents). Rates are expressed per agent
-//! per unit of parallel time, so a stride of `ℓ` interactions — `ℓ/n`
-//! parallel time across `n` agents — carries an expected `rate · ℓ`
-//! events regardless of the current population size.
+//! Unlike the one-shot [`FaultSpec::Churn`](crate::FaultSpec::Churn)
+//! epoch strike, a [`ChurnProcess`] runs *for the whole run*: after every
+//! engine stride or batch of `ℓ` interactions, `Poisson(join·ℓ)` fresh
+//! agents drawn from the initial workload join and `Poisson(leave·ℓ)`
+//! uniformly random agents leave (never below two agents). Rates are
+//! expressed per agent per unit of parallel time, so a stride of `ℓ`
+//! interactions — `ℓ/n` parallel time across `n` agents — carries an
+//! expected `rate · ℓ` events regardless of the current population size.
 //!
 //! The engines' `run_churned` methods drive the process and record a
 //! [`ChurnSample`](crate::ChurnSample) each time the parallel clock

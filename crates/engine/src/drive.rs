@@ -14,7 +14,7 @@
 use std::borrow::Borrow;
 
 use crate::churn::ChurnProcess;
-use crate::fault::{FaultAction, FaultPlan, FaultRecord, OpinionCensus};
+use crate::fault::{FaultAction, FaultRecord, FaultSpec, OpinionCensus};
 use crate::result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};
 
 /// The parallel clock: interactions, folded over population changes so
@@ -108,9 +108,15 @@ pub(crate) trait Stepper {
     }
 }
 
-/// Run until the protocol converges or the budget is exhausted.
-pub(crate) fn run<S: Stepper>(sim: &mut S, opts: &RunOptions) -> RunResult {
+/// Run until the protocol converges or the budget is exhausted, calling
+/// `observe` at the top of every iteration, before the output check.
+pub(crate) fn run<S: Stepper>(
+    sim: &mut S,
+    opts: &RunOptions,
+    mut observe: impl FnMut(&S),
+) -> RunResult {
     loop {
+        observe(sim);
         if let Some(output) = sim.output() {
             return finish(sim, RunStatus::Converged, Some(output));
         }
@@ -121,19 +127,21 @@ pub(crate) fn run<S: Stepper>(sim: &mut S, opts: &RunOptions) -> RunResult {
     }
 }
 
-/// Run under a fault plan: advance to each hook's parallel time (the step
-/// straddling it is truncated to land exactly on it), strike, and keep
-/// running; after the last hook, [`run`] to convergence or budget. Each
-/// strike opens a [`FaultRecord`] that the first convergence observed
-/// afterwards closes; a record still open when the next hook fires or the
-/// budget ends keeps a `NaN` recovery time. An empty plan is [`run`].
+/// Run under a list of faults: advance to each fault's parallel time (the
+/// step straddling it is truncated to land exactly on it), strike, and
+/// keep running; after the last fault, [`run`] to convergence or budget.
+/// Faults fire in time order; faults with the same time fire in list
+/// order. Each strike opens a [`FaultRecord`] that the first convergence
+/// observed afterwards closes; a record still open when the next fault
+/// fires or the budget ends keeps a `NaN` recovery time. No faults is
+/// [`run`].
 pub(crate) fn run_faulted<S: Stepper>(
     sim: &mut S,
     opts: &RunOptions,
-    plan: &FaultPlan,
+    faults: &[FaultSpec],
 ) -> RunResult {
-    if plan.is_empty() {
-        return run(sim, opts);
+    if faults.is_empty() {
+        return run(sim, opts, |_| {});
     }
     let n = sim.population() as f64;
     let initial = sim.config().to_owned();
@@ -144,8 +152,11 @@ pub(crate) fn run_faulted<S: Stepper>(
         record.output_after = Some(output);
     };
 
-    for (at, action, label) in plan.schedule() {
-        let target = (at.max(0.0) * n).ceil() as u64;
+    let mut schedule = faults.to_vec();
+    // Stable: tied faults keep their list order.
+    schedule.sort_by(|a, b| a.at().partial_cmp(&b.at()).expect("finite fault times"));
+    for spec in schedule {
+        let target = (spec.at().max(0.0) * n).ceil() as u64;
         if target > opts.max_interactions {
             break; // scheduled beyond the budget: never fires
         }
@@ -160,10 +171,10 @@ pub(crate) fn run_faulted<S: Stepper>(
         if let (Some(k), Some(output)) = (open, output_before) {
             close(&mut records[k], sim.parallel_time(), output);
         }
-        sim.strike(initial.borrow(), &action);
+        sim.strike(initial.borrow(), &spec.action());
         records.push(FaultRecord {
             at: sim.parallel_time(),
-            hook: label,
+            hook: spec.to_string(),
             output_before,
             output_after: None,
             recovery_time: f64::NAN,
@@ -171,7 +182,7 @@ pub(crate) fn run_faulted<S: Stepper>(
         open = Some(records.len() - 1);
     }
 
-    let mut r = run(sim, opts);
+    let mut r = run(sim, opts, |_| {});
     if let (Some(k), Some(output)) = (open, r.output) {
         close(&mut records[k], r.parallel_time, output);
     }
@@ -241,5 +252,42 @@ pub(crate) fn finish<S: Stepper>(sim: &S, status: RunStatus, output: Option<u32>
         faults: Vec::new(),
         series: Vec::new(),
         notes: sim.notes(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fault::FaultSpec;
+    use crate::protocol::{Protocol, SimRng};
+    use crate::result::RunOptions;
+    use crate::sim::Simulation;
+
+    /// Never converges, so every scheduled fault fires.
+    struct Idle;
+    impl Protocol for Idle {
+        type State = u8;
+        fn interact(&mut self, _t: u64, _a: &mut u8, _b: &mut u8, _rng: &mut SimRng) {}
+        fn converged(&self, _states: &[u8]) -> Option<u32> {
+            None
+        }
+    }
+
+    #[test]
+    fn faults_fire_in_time_order_and_ties_in_list_order() {
+        let faults =
+            FaultSpec::parse_list("churn@80:0.1,corrupt@20:0.2,inject@20:0.3:2,churn@5:0.1")
+                .expect("fault specs");
+        let mut sim = Simulation::new(Idle, vec![0u8; 50], 3);
+        let r = sim.run_faulted(&RunOptions::with_parallel_time_budget(50, 100.0), &faults);
+        let fired: Vec<(f64, &str)> = r.faults.iter().map(|f| (f.at, f.hook.as_str())).collect();
+        assert_eq!(
+            fired,
+            [
+                (5.0, "churn@5:0.1"),
+                (20.0, "corrupt@20:0.2"),
+                (20.0, "inject@20:0.3:2"),
+                (80.0, "churn@80:0.1"),
+            ]
+        );
     }
 }

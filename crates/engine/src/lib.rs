@@ -60,6 +60,12 @@
 //! * [`Census`] — exact tracking of the set of distinct agent states visited
 //!   (used to validate state-space bounds such as `O(k + log n)`),
 //! * [`ensemble`] — embarrassingly-parallel execution of independent trials,
+//! * [`fault`] — adversarial execution as plain data: [`FaultSpec`]
+//!   strikes (`run_faulted`), [`SchedulerSpec`] pair biases
+//!   (`set_scheduler`), [`AdversarySpec`] liars (`set_adversary`) and
+//!   [`ChurnSpec`] join/leave processes (`run_churned`), honored by both
+//!   engines and spelled the same on the `xp` command line and in run
+//!   manifests,
 //! * [`rng`] — deterministic seed derivation so every experiment is
 //!   reproducible from a single base seed.
 //!
@@ -110,10 +116,8 @@ pub use census::Census;
 pub use checkpoint::Checkpoint;
 pub use churn::ChurnProcess;
 pub use fault::{
-    AdaptiveAdversary, AdaptiveStrategy, Adversary, AdversarySpec, ByzantineAdversary, Churn,
-    ChurnSpec, ChurnTarget, Corrupt, FaultAction, FaultHook, FaultPlan, FaultRecord, FaultSpec,
-    Forgery, Inject, LieTarget, OpinionCensus, PairBiasScheduler, Replacement, Scheduler,
-    SchedulerSpec, StarveScheduler, UniformScheduler,
+    AdaptiveStrategy, AdversarySpec, ChurnSpec, ChurnTarget, FaultAction, FaultRecord, FaultSpec,
+    Forgery, LieTarget, OpinionCensus, Replacement, SchedulerSpec,
 };
 pub use protocol::{Protocol, SimRng};
 pub use result::{ChurnSample, RunNote, RunOptions, RunResult, RunStatus};

@@ -68,10 +68,10 @@ pub trait Protocol {
         None
     }
 
-    /// The opinion an agent in `state` currently advocates, if any — the
-    /// hook adversarial [`Scheduler`](crate::Scheduler)s bias on. `None`
-    /// (the default) marks undecided or helper agents, which schedulers
-    /// treat uniformly.
+    /// The opinion an agent in `state` currently advocates, if any — what
+    /// adversarial [`SchedulerSpec`](crate::SchedulerSpec)s bias on.
+    /// `None` (the default) marks undecided or helper agents, which
+    /// schedulers treat uniformly.
     fn opinion_of(&self, state: &Self::State) -> Option<u32> {
         let _ = state;
         None

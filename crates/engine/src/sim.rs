@@ -1,15 +1,13 @@
 //! The sequential scheduler.
 
-use std::sync::Arc;
-
 use rand::{Rng, SeedableRng};
 
 use crate::census::Census;
 use crate::churn::ChurnProcess;
 use crate::drive::{self, Clock, Stepper};
 use crate::fault::{
-    Adversary, ChurnTarget, FaultAction, FaultPlan, Forgery, OpinionCensus, Replacement, Scheduler,
-    SCHEDULER_RETRIES, SCHEDULER_SATURATION_STREAK,
+    AdversarySpec, ChurnTarget, FaultAction, FaultSpec, Forgery, OpinionCensus, Replacement,
+    SchedulerSpec, SCHEDULER_RETRIES, SCHEDULER_SATURATION_STREAK,
 };
 use crate::pair::{pair_mut, sample_pair};
 use crate::protocol::{Protocol, SimRng};
@@ -23,8 +21,8 @@ pub struct Simulation<P: Protocol> {
     states: Vec<P::State>,
     rng: SimRng,
     clock: Clock,
-    scheduler: Option<Arc<dyn Scheduler>>,
-    adversary: Option<Arc<dyn Adversary>>,
+    scheduler: Option<SchedulerSpec>,
+    adversary: Option<AdversarySpec>,
     /// The adversary's current forgery, cached so the hot loop never
     /// recomputes it. Static adversaries set it once at install; adaptive
     /// ones are refreshed against the live census at every stride
@@ -60,8 +58,9 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Replace the uniform pair scheduler with an adversarial one. The
-    /// uniform hot path is untouched when no scheduler is set.
-    pub fn set_scheduler(&mut self, scheduler: Arc<dyn Scheduler>) {
+    /// uniform hot path is untouched when no scheduler is set, and
+    /// [`SchedulerSpec::Uniform`] replays it exactly.
+    pub fn set_scheduler(&mut self, scheduler: SchedulerSpec) {
         self.scheduler = Some(scheduler);
     }
 
@@ -69,11 +68,11 @@ impl<P: Protocol> Simulation<P> {
     /// untouched (same RNG stream as [`run`](Self::run)) when none is set;
     /// a zero lying probability is treated as no adversary, so `byz:0`
     /// keeps RNG-identity on every engine.
-    pub fn set_adversary(&mut self, adversary: Arc<dyn Adversary>) {
+    pub fn set_adversary(&mut self, adversary: AdversarySpec) {
         if adversary.lie_frac() > 0.0 {
-            // Static adversaries ignore the census (trait default), so
-            // this one call covers both kinds; adaptive forgeries are then
-            // re-aimed at every stride boundary.
+            // Fixed liars ignore the census, so this one call covers both
+            // kinds; adaptive forgeries are then re-aimed at every stride
+            // boundary.
             self.forgery = adversary.forgery(&self.opinion_census());
             self.adversary = Some(adversary);
         }
@@ -133,17 +132,17 @@ impl<P: Protocol> Simulation<P> {
     /// responder) indices.
     #[inline]
     pub fn step(&mut self) -> (usize, usize) {
-        let (i, j) = match self.scheduler.clone() {
+        let (i, j) = match self.scheduler {
             None => sample_pair(&mut self.rng, self.states.len()),
-            Some(sched) => self.sample_pair_scheduled(&*sched),
+            Some(sched) => self.sample_pair_scheduled(sched),
         };
-        match self.adversary.clone() {
+        match self.adversary {
             None => {
                 let t = self.clock.interactions;
                 let (a, b) = pair_mut(&mut self.states, i, j);
                 self.protocol.interact(t, a, b, &mut self.rng);
             }
-            Some(adv) => self.interact_byzantine(i, j, &*adv),
+            Some(adv) => self.interact_byzantine(i, j, adv.lie_frac()),
         }
         self.clock.interactions += 1;
         (i, j)
@@ -156,8 +155,7 @@ impl<P: Protocol> Simulation<P> {
     /// interaction a no-op (neither learns anything real). A protocol that
     /// cannot materialize the forgery (`fault_state` returns `None`)
     /// degrades that lie to honesty — adversaries degrade, never panic.
-    fn interact_byzantine(&mut self, i: usize, j: usize, adv: &dyn Adversary) {
-        let frac = adv.lie_frac();
+    fn interact_byzantine(&mut self, i: usize, j: usize, frac: f64) {
         let forgery = self.forgery;
         let lie = |protocol: &P, rng: &mut SimRng| -> Option<P::State> {
             rng.gen_bool(frac)
@@ -200,11 +198,9 @@ impl<P: Protocol> Simulation<P> {
     /// hot loop is untouched. Draws no randomness, preserving the replay
     /// contract; a no-op for static adversaries.
     fn refresh_forgery(&mut self) {
-        if !self.adversary.as_ref().is_some_and(|a| a.adaptive()) {
-            return;
+        if let Some(adv) = self.adversary.filter(AdversarySpec::is_adaptive) {
+            self.forgery = adv.forgery(&self.opinion_census());
         }
-        let adv = self.adversary.clone().expect("adaptive adversary present");
-        self.forgery = adv.forgery(&self.opinion_census());
     }
 
     /// Biased pair draw: bounded rejection sampling against the
@@ -220,16 +216,13 @@ impl<P: Protocol> Simulation<P> {
     /// saturated mode: pair selection degrades to uniform for the rest of
     /// the run and the result carries
     /// [`RunNote::SchedulerSaturated`].
-    fn sample_pair_scheduled(&mut self, sched: &dyn Scheduler) -> (usize, usize) {
+    fn sample_pair_scheduled(&mut self, sched: SchedulerSpec) -> (usize, usize) {
         let n = self.states.len();
         if self.scheduler_saturated {
             return sample_pair(&mut self.rng, n);
         }
-        let weight_of = |protocol: &P, state: &P::State| {
-            sched
-                .opinion_weight(protocol.opinion_of(state))
-                .clamp(0.0, 1.0)
-        };
+        let weight_of =
+            |protocol: &P, state: &P::State| sched.opinion_weight(protocol.opinion_of(state));
         let (mut i, mut j) = sample_pair(&mut self.rng, n);
         let mut exhausted = true;
         for _ in 0..SCHEDULER_RETRIES {
@@ -248,7 +241,7 @@ impl<P: Protocol> Simulation<P> {
         } else {
             self.starve_streak = 0;
         }
-        let assort = sched.assortativity().clamp(0.0, 1.0);
+        let assort = sched.assortativity();
         if assort > 0.0 && self.rng.gen_bool(assort) {
             // Like-with-like pairing: redraw the responder until it shares
             // the initiator's opinion (bounded).
@@ -278,7 +271,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Run until the protocol converges or the budget is exhausted.
     pub fn run(&mut self, opts: &RunOptions) -> RunResult {
-        drive::run(self, opts)
+        drive::run(self, opts, |_| {})
     }
 
     /// Like [`run`](Self::run), but additionally records every visited state
@@ -306,37 +299,31 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Like [`run`](Self::run), with a sampling hook invoked after every
+    /// Like [`run`](Self::run), with a sampling hook invoked before every
     /// convergence check; used to record time series.
     pub fn run_observed(
         &mut self,
         opts: &RunOptions,
         mut observe: impl FnMut(u64, &[P::State]),
     ) -> RunResult {
-        loop {
-            observe(self.clock.interactions, &self.states);
-            if let Some(output) = self.output() {
-                return drive::finish(self, RunStatus::Converged, Some(output));
-            }
-            if self.clock.interactions >= opts.max_interactions {
-                return drive::finish(self, RunStatus::Exhausted, None);
-            }
-            self.advance(opts, opts.max_interactions);
-        }
+        drive::run(self, opts, |sim| {
+            observe(sim.clock.interactions, &sim.states)
+        })
     }
 
-    /// Run under a fault plan: advance to each hook's parallel time, apply
-    /// its strike to the live configuration, and keep running; after the
-    /// last hook, run to convergence or budget as usual. Each strike opens
-    /// a [`FaultRecord`](crate::FaultRecord) that the first convergence
+    /// Run under a list of faults: advance to each fault's parallel time,
+    /// apply its strike to the live configuration, and keep running; after
+    /// the last fault, run to convergence or budget as usual. Faults fire
+    /// in time order, tied faults in list order. Each strike opens a
+    /// [`FaultRecord`](crate::FaultRecord) that the first convergence
     /// observed afterwards closes with a recovery time and an output; a
-    /// record still open when the next hook fires or the budget ends keeps
-    /// a `NaN` recovery time.
+    /// record still open when the next fault fires or the budget ends
+    /// keeps a `NaN` recovery time.
     ///
-    /// An empty plan replays [`run`](Self::run) exactly — same RNG
+    /// An empty list replays [`run`](Self::run) exactly — same RNG
     /// trajectory, same result.
-    pub fn run_faulted(&mut self, opts: &RunOptions, plan: &FaultPlan) -> RunResult {
-        drive::run_faulted(self, opts, plan)
+    pub fn run_faulted(&mut self, opts: &RunOptions, faults: &[FaultSpec]) -> RunResult {
+        drive::run_faulted(self, opts, faults)
     }
 
     /// The convergence-check stride: `converged` is an `O(n)` scan, so the

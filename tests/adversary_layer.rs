@@ -8,16 +8,12 @@
 //! batched engine's recovery statistics stay inside the 15% cross-engine
 //! tolerance band the equivalence suite already enforces.
 
-use std::sync::Arc;
-
-use exact_plurality::engine::{
-    AdversarySpec, Checkpoint, ChurnProcess, ChurnSpec, RunNote, StarveScheduler,
-};
+use exact_plurality::engine::{AdversarySpec, Checkpoint, ChurnProcess, ChurnSpec, RunNote};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
 
-fn byz(spec: &str) -> Arc<dyn exact_plurality::engine::Adversary> {
-    spec.parse::<AdversarySpec>().expect("spec parses").build()
+fn byz(spec: &str) -> AdversarySpec {
+    spec.parse::<AdversarySpec>().expect("spec parses")
 }
 
 // ---------------------------------------------------------------------------
@@ -47,6 +43,24 @@ fn zero_fraction_adversary_keeps_rng_identity_on_all_engines() {
 }
 
 #[test]
+fn uniform_scheduler_replays_the_unscheduled_sequential_run() {
+    // Weight 1 everywhere and no assortativity: the scheduled pair draw
+    // consumes exactly the unscheduled draw's randomness. (The batched
+    // engine routes any scheduler through its weighted tally, so there
+    // the two streams differ by design.)
+    let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
+    let init = vec![0u64, 700, 300];
+    let states = SeqTable::<ThreeState>::initial_states(&init);
+    let mut plain = Simulation::new(SeqTable::new(ThreeState), states.clone(), 12);
+    let mut uniform = Simulation::new(SeqTable::new(ThreeState), states, 12);
+    uniform.set_scheduler(SchedulerSpec::Uniform);
+    let (rp, ru) = (plain.run(&opts), uniform.run(&opts));
+    assert_eq!(rp, ru);
+    assert_eq!(plain.rng_state(), uniform.rng_state());
+    assert_eq!(plain.states(), uniform.states());
+}
+
+#[test]
 fn unmappable_forged_opinion_degrades_to_honesty_on_batch_engines() {
     // Opinion 9 has no state in ThreeState's table: the snapshot disables
     // the perturbation entirely rather than panicking mid-batch.
@@ -73,7 +87,7 @@ fn fault_records_match_across_seq_and_batch_under_byzantine_lies() {
     // so the structural record content — epoch, hook label, surrounding
     // outputs — must agree exactly. (The recovery *durations* differ: the
     // engines consume randomness differently.)
-    let plan = FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@40:0.4").expect("plan"));
+    let plan = FaultSpec::parse_list("corrupt@40:0.4").expect("plan");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 700, 300];
 
@@ -108,7 +122,7 @@ fn batch_recovery_times_match_seq_within_tolerance_under_lies() {
     // rather than flipping per-agent coins; its recovery-time *median*
     // over trials must stay within the 15% band of the sequential
     // engine's that the engine-equivalence suite uses for honest runs.
-    let plan = FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@20:0.5").expect("plan"));
+    let plan = FaultSpec::parse_list("corrupt@20:0.5").expect("plan");
     let opts = RunOptions::with_parallel_time_budget(10_000, 5_000.0);
     let init = vec![0u64, 7_000, 3_000];
     let trials = 25u64;
@@ -454,10 +468,10 @@ impl TableProtocol for Monotone {
 
 #[test]
 fn weight_zero_starvation_saturates_with_a_note_on_all_engines() {
-    let sched = Arc::new(StarveScheduler {
+    let sched = SchedulerSpec::Starve {
         opinion: 1,
         weight: 0.0,
-    });
+    };
     let opts = RunOptions {
         max_interactions: 2_000,
         check_every: 0,
@@ -465,7 +479,7 @@ fn weight_zero_starvation_saturates_with_a_note_on_all_engines() {
 
     let states = SeqTable::<Monotone>::initial_states(&[5, 5]);
     let mut seq = Simulation::new(SeqTable::new(Monotone), states, 1);
-    seq.set_scheduler(sched.clone());
+    seq.set_scheduler(sched);
     let r = seq.run(&opts);
     assert_eq!(r.status, RunStatus::Exhausted);
     assert!(r.notes.contains(&RunNote::SchedulerSaturated), "{r:?}");
@@ -484,7 +498,7 @@ fn partial_starvation_stays_unsaturated() {
     let sched: SchedulerSpec = "starve:2:0.25".parse().expect("scheduler parses");
     let init = vec![0u64, 700, 300];
     let mut sim = BatchSimulation::new(ThreeState, init, 6);
-    sim.set_scheduler(sched.build());
+    sim.set_scheduler(sched);
     let r = sim.run(&RunOptions::with_parallel_time_budget(1000, 5_000.0));
     assert!(r.notes.is_empty(), "{r:?}");
 }

@@ -1,6 +1,6 @@
 //! Reproducibility: a fixed seed yields an identical trajectory, and
 //! different seeds decorrelate. The contract extends to the fault layer:
-//! a fixed seed plus a fixed `FaultPlan` (and scheduler) replays the
+//! a fixed seed plus a fixed fault list (and scheduler) replays the
 //! strikes, the recovery bookkeeping, and the final configuration
 //! identically on every engine.
 
@@ -42,9 +42,7 @@ fn trace(r: &RunResult) -> (Option<u32>, u64, String) {
 
 #[test]
 fn faulted_batch_runs_replay_identically() {
-    let plan = FaultPlan::from_specs(
-        &FaultSpec::parse_list("corrupt@20:0.2,churn@40:0.1").expect("specs parse"),
-    );
+    let plan = FaultSpec::parse_list("corrupt@20:0.2,churn@40:0.1").expect("specs parse");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let run = |seed: u64| {
         let mut sim = BatchSimulation::new(ThreeState, vec![0, 600, 400], seed);
@@ -56,15 +54,14 @@ fn faulted_batch_runs_replay_identically() {
 
 #[test]
 fn scheduled_sequential_runs_replay_identically() {
-    let plan =
-        FaultPlan::from_specs(&FaultSpec::parse_list("inject@30:0.2:2").expect("spec parses"));
+    let plan = FaultSpec::parse_list("inject@30:0.2:2").expect("spec parses");
     let sched: SchedulerSpec = "pairbias:0.3".parse().expect("scheduler parses");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 600, 400];
     let run = |seed: u64| {
         let states = SeqTable::<ThreeState>::initial_states(&init);
         let mut sim = Simulation::new(SeqTable::new(ThreeState), states, seed);
-        sim.set_scheduler(sched.build());
+        sim.set_scheduler(sched);
         trace(&sim.run_faulted(&opts, &plan))
     };
     assert_eq!(run(5), run(5));
@@ -74,18 +71,17 @@ fn scheduled_sequential_runs_replay_identically() {
 fn empty_fault_plan_replays_the_unfaulted_run() {
     // `run_faulted` with no hooks must be RNG-identical to `run` — the
     // fault layer may not perturb existing experiment trajectories.
-    let plan = FaultPlan::new();
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let init = vec![0u64, 600, 400];
 
     let plain = BatchSimulation::new(ThreeState, init.clone(), 11).run(&opts);
-    let faulted = BatchSimulation::new(ThreeState, init.clone(), 11).run_faulted(&opts, &plan);
+    let faulted = BatchSimulation::new(ThreeState, init.clone(), 11).run_faulted(&opts, &[]);
     assert_eq!(trace(&plain), trace(&faulted), "batch");
 
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let plain = Simulation::new(SeqTable::new(ThreeState), states, 11).run(&opts);
     let states = SeqTable::<ThreeState>::initial_states(&init);
-    let faulted = Simulation::new(SeqTable::new(ThreeState), states, 11).run_faulted(&opts, &plan);
+    let faulted = Simulation::new(SeqTable::new(ThreeState), states, 11).run_faulted(&opts, &[]);
     assert_eq!(trace(&plain), trace(&faulted), "seq");
 }
 

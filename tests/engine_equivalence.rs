@@ -11,7 +11,7 @@
 
 use exact_plurality::baselines::{Usd, UsdTable};
 use exact_plurality::engine::{
-    BatchSimulation, FaultPlan, FaultSpec, Protocol, RunOptions, RunStatus, Simulation,
+    BatchSimulation, FaultSpec, Protocol, RunOptions, RunStatus, Simulation,
 };
 use exact_plurality::majority::ThreeState;
 
@@ -114,8 +114,7 @@ fn fault_recovery_times_agree_across_engines() {
     // time 150) must yield statistically consistent recovery times on both
     // engines, within the workspace tolerance.
     let n = 20_000u64;
-    let plan =
-        FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@150:0.1").expect("spec parses"));
+    let plan = FaultSpec::parse_list("corrupt@150:0.1").expect("spec parses");
 
     let recovery = |r: &exact_plurality::engine::RunResult, label: &str, i: u64| -> f64 {
         assert_eq!(r.status, RunStatus::Converged, "{label} trial {i}");

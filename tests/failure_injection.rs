@@ -85,10 +85,8 @@ fn unordered_with_skimpy_leader_patience_terminates() {
 // churned, then swamped with minority supporters) and an adversarial
 // scheduler on top.
 
-fn hostile_plan() -> FaultPlan {
-    FaultPlan::from_specs(
-        &FaultSpec::parse_list("corrupt@5:0.5,churn@10:0.5,inject@15:0.9:2").expect("specs parse"),
-    )
+fn hostile_plan() -> Vec<FaultSpec> {
+    FaultSpec::parse_list("corrupt@5:0.5,churn@10:0.5,inject@15:0.9:2").expect("specs parse")
 }
 
 fn assert_degrades_cleanly(r: &RunResult) {
@@ -109,7 +107,7 @@ fn hostile_faults_degrade_never_panic_on_batch_engine() {
     let sched: SchedulerSpec = "starve:1:0.25".parse().expect("scheduler parses");
     let opts = RunOptions::with_parallel_time_budget(1000, 5_000.0);
     let mut sim = BatchSimulation::new(ThreeState, vec![0, 700, 300], 3);
-    sim.set_scheduler(sched.build());
+    sim.set_scheduler(sched);
     assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
 }
 
@@ -120,7 +118,7 @@ fn hostile_faults_degrade_never_panic_on_sequential_table_engine() {
     let init = vec![0u64, 700, 300];
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let mut sim = Simulation::new(SeqTable::new(ThreeState), states, 3);
-    sim.set_scheduler(sched.build());
+    sim.set_scheduler(sched);
     assert_degrades_cleanly(&sim.run_faulted(&opts, &hostile_plan()));
 }
 
@@ -128,8 +126,7 @@ fn hostile_faults_degrade_never_panic_on_sequential_table_engine() {
 fn corrupting_a_paper_protocol_mid_run_terminates_cleanly() {
     let counts = Counts::bias_one(401, 3);
     let assignment = counts.assignment();
-    let plan =
-        FaultPlan::from_specs(&FaultSpec::parse_list("corrupt@100:0.3").expect("spec parses"));
+    let plan = FaultSpec::parse_list("corrupt@100:0.3").expect("spec parses");
     for seed in 0..3 {
         let (proto, states) = SimpleAlgorithm::new(&assignment, Tuning::default());
         let mut sim = Simulation::new(proto, states, seed);

@@ -14,10 +14,7 @@
 //! past a thousand interactions and every batch has several initiator
 //! subtrees.
 
-use std::sync::Arc;
-
 use exact_plurality::baselines::UsdTable;
-use exact_plurality::engine::fault::ByzantineAdversary;
 use exact_plurality::engine::{rng, AdversarySpec, ChurnProcess, ChurnSpec, SegmentRunner};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
@@ -93,10 +90,10 @@ fn wide_usd_replays_its_golden_bytes() {
 fn byzantine_lies_replay_their_golden_bytes() {
     let n = 4_000_000u64;
     let mut sim = BatchSimulation::new(ThreeState, vec![0, 2 * n / 3, n - 2 * n / 3], 1204);
-    sim.set_adversary(Arc::new(ByzantineAdversary {
+    sim.set_adversary(AdversarySpec::Byzantine {
         frac: 0.05,
         opinion: Some(2),
-    }));
+    });
     step_and_check(
         sim,
         &Golden {
@@ -186,8 +183,8 @@ fn fingerprint(r: &RunResult, rng: [u64; 4]) -> String {
     out
 }
 
-fn plan(specs: &str) -> FaultPlan {
-    FaultPlan::from_specs(&FaultSpec::parse_list(specs).expect("fault specs"))
+fn plan(specs: &str) -> Vec<FaultSpec> {
+    FaultSpec::parse_list(specs).expect("fault specs")
 }
 
 const SEQ_FAULTED_ADAPTIVE: &str = concat!(
@@ -201,12 +198,7 @@ fn sequential_faulted_run_under_an_adaptive_adversary_replays_its_golden_bytes()
     let init = [0u64, 600, 400];
     let states = SeqTable::<ThreeState>::initial_states(&init);
     let mut sim = Simulation::new(SeqTable::new(ThreeState), states, 1301);
-    sim.set_adversary(
-        "adaptive:0.02"
-            .parse::<AdversarySpec>()
-            .expect("adversary")
-            .build(),
-    );
+    sim.set_adversary("adaptive:0.02".parse::<AdversarySpec>().expect("adversary"));
     let opts = RunOptions::with_parallel_time_budget(1000, 300.0);
     let r = sim.run_faulted(&opts, &plan("corrupt@10:0.3,inject@25:0.2:2"));
     assert_eq!(fingerprint(&r, sim.rng_state()), SEQ_FAULTED_ADAPTIVE);
@@ -249,12 +241,7 @@ const BATCH_FAULTED_STARVE: &str = concat!(
 fn batched_faulted_run_under_a_starving_scheduler_replays_its_golden_bytes() {
     let n = 200_000u64;
     let mut sim = BatchSimulation::new(ThreeState, vec![0, n * 3 / 5, n * 2 / 5], 1303);
-    sim.set_scheduler(
-        "starve:1:0.5"
-            .parse::<SchedulerSpec>()
-            .expect("scheduler")
-            .build(),
-    );
+    sim.set_scheduler("starve:1:0.5".parse::<SchedulerSpec>().expect("scheduler"));
     let opts = RunOptions::with_parallel_time_budget(n as usize, 400.0);
     let r = sim.run_faulted(&opts, &plan("corrupt@5:0.3,inject@15:0.2:2"));
     assert_eq!(fingerprint(&r, sim.rng_state()), BATCH_FAULTED_STARVE);
@@ -299,4 +286,46 @@ fn small_simple_algorithm_run_replays_its_golden_bytes() {
     let mut sim = Simulation::new(protocol, states, 1305);
     let r = sim.run(&RunOptions::with_parallel_time_budget(200, 500_000.0));
     assert_eq!(fingerprint(&r, sim.rng_state()), SIMPLE_RUN);
+}
+
+const SEQ_FAULTED_PAIRBIAS_BYZ: &str = concat!(
+    "Converged Some(2) interactions 23000 time 4627167142146473984 rng 12911937840197659145 12011507421769156984 4340290233071728077 2252831129259001051 notes []\n",
+    "fault 4621819117588971520 churn@10:0.2 None Some(2) 4623507967449235456\n",
+);
+
+#[test]
+fn sequential_faulted_run_under_pair_bias_and_byzantine_lies_replays_its_golden_bytes() {
+    let init = [0u64, 400, 600];
+    let states = SeqTable::<ThreeState>::initial_states(&init);
+    let mut sim = Simulation::new(SeqTable::new(ThreeState), states, 1306);
+    sim.set_scheduler("pairbias:0.3".parse::<SchedulerSpec>().expect("scheduler"));
+    sim.set_adversary("byz:0.05:2".parse::<AdversarySpec>().expect("adversary"));
+    let opts = RunOptions::with_parallel_time_budget(1000, 300.0);
+    let r = sim.run_faulted(&opts, &plan("churn@10:0.2"));
+    assert_eq!(fingerprint(&r, sim.rng_state()), SEQ_FAULTED_PAIRBIAS_BYZ);
+}
+
+/// Both hooks strike at t = 10: tied hooks fire in list order.
+const BATCH_FAULTED_PAIRBIAS_ADAPTIVE: &str = concat!(
+    "Exhausted None interactions 20000000 time 4636737291354636288 rng 1688399499838114905 4946620976718340959 8731173329149144586 5743975467327766569 notes []\n",
+    "fault 4621819117588971520 inject@10:0.2:2 None None 9221120237041090560\n",
+    "fault 4621819117588971520 corrupt@10:0.1 None None 9221120237041090560\n",
+);
+
+#[test]
+fn batched_faulted_run_under_pair_bias_and_adaptive_lies_replays_its_golden_bytes() {
+    let n = 200_000u64;
+    let mut sim = BatchSimulation::new(ThreeState, vec![0, n * 3 / 5, n * 2 / 5], 1307);
+    sim.set_scheduler("pairbias:0.3".parse::<SchedulerSpec>().expect("scheduler"));
+    sim.set_adversary(
+        "adaptive:0.05:split"
+            .parse::<AdversarySpec>()
+            .expect("adversary"),
+    );
+    let opts = RunOptions::with_parallel_time_budget(n as usize, 100.0);
+    let r = sim.run_faulted(&opts, &plan("inject@10:0.2:2,corrupt@10:0.1"));
+    assert_eq!(
+        fingerprint(&r, sim.rng_state()),
+        BATCH_FAULTED_PAIRBIAS_ADAPTIVE
+    );
 }

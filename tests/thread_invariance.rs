@@ -7,11 +7,9 @@
 //! have started to share state or to depend on which worker ran them.
 
 use exact_plurality::engine::ensemble::run_trials;
-use exact_plurality::engine::fault::ByzantineAdversary;
 use exact_plurality::engine::{rng, ChurnProcess, ChurnSpec, SegmentRunner};
 use exact_plurality::majority::ThreeState;
 use exact_plurality::prelude::*;
-use std::sync::Arc;
 
 const N: u64 = 1_000_000;
 const TRIALS: usize = 6;
@@ -55,9 +53,7 @@ fn full_runs_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn faulted_runs_replay_fault_records_at_any_thread_count() {
-    let plan = FaultPlan::from_specs(
-        &FaultSpec::parse_list("corrupt@1:0.2,churn@2:0.1").expect("specs parse"),
-    );
+    let plan = FaultSpec::parse_list("corrupt@1:0.2,churn@2:0.1").expect("specs parse");
     let opts = RunOptions::with_parallel_time_budget(N as usize, 4.0);
     assert_invariant(|i| {
         let mut sim = BatchSimulation::new(ThreeState, init(), rng::derive(7002, i as u64));
@@ -72,10 +68,10 @@ fn adversarial_runs_are_thread_count_invariant() {
     let opts = RunOptions::with_parallel_time_budget(N as usize, 3.0);
     assert_invariant(|i| {
         let mut sim = BatchSimulation::new(ThreeState, init(), rng::derive(7003, i as u64));
-        sim.set_adversary(Arc::new(ByzantineAdversary {
+        sim.set_adversary(AdversarySpec::Byzantine {
             frac: 0.05,
             opinion: Some(2),
-        }));
+        });
         let r = sim.run(&opts);
         (trace(&r), sim.counts().to_vec(), sim.rng_state())
     });
